@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .hypercore import Hypergraph, degree_stats, neighbourhoods, predicates
+from .hypercore import Hypergraph, degree_stats, predicates
 
 __all__ = [
     "TFoldProjectivePlane",
@@ -141,11 +141,11 @@ def intersecting_bound(h: Hypergraph, t: int) -> dict:
     if stats.max_codegree > t:
         out["reason"] = f"codegree {stats.max_codegree} exceeds t={t}"
         return out
-    nbhd = neighbourhoods(h)
+    closed = h.view.closed_masks
     best_v, best = None, 0
     for v in range(h.n):
-        if stats.degree[v] >= 1 and len(nbhd.closed_vertex[v]) > best:
-            best_v, best = v, len(nbhd.closed_vertex[v])
+        if stats.degree[v] >= 1 and closed[v].bit_count() > best:
+            best_v, best = v, closed[v].bit_count()
     out.update(
         applies=True,
         bound=t * best,
@@ -171,14 +171,13 @@ def classify_extremal(h: Hypergraph, t: int) -> Classification:
         return Classification(NotExtremal(), h.m, ib["bound"], None)
 
     stats = degree_stats(h)
-    nbhd = neighbourhoods(h)
     for v in range(h.n):
         if stats.degree[v] < 1:
             continue
-        closed = nbhd.closed_vertex[v]
-        if t * len(closed) != h.m:
+        closed = h.view.closed_masks[v]
+        if t * closed.bit_count() != h.m:
             continue
-        if any(stats.degree[u] >= 1 for u in range(h.n) if u not in closed):
+        if any(stats.degree[u] >= 1 for u in range(h.n) if not closed >> u & 1):
             continue
         kind = _classify_on_support(h, t, closed)
         if kind is not None:
@@ -190,10 +189,11 @@ def classify_extremal(h: Hypergraph, t: int) -> Classification:
 
 
 def _classify_on_support(
-    h: Hypergraph, t: int, support: frozenset[int]
+    h: Hypergraph, t: int, support: int
 ) -> TFoldProjectivePlane | TFoldNearPencil | None:
-    """Test the t-fold plane / near-pencil shape on edges inside ``support``."""
-    if any(not set(e) <= support for e in h.edges):
+    """Test the t-fold plane / near-pencil shape on edges inside the vertex
+    bitmask ``support``."""
+    if any(mask & ~support for mask in h.edge_masks):
         return None
     mult: dict[tuple[int, ...], int] = {}
     for e in h.edges:
@@ -205,9 +205,9 @@ def _classify_on_support(
     if not (base_pred.is_linear and base_pred.is_intersecting):
         return None
     covered = sorted({v for e in base.edges for v in e})
-    if set(covered) != support:
+    if sum(1 << v for v in covered) != support:
         return None
-    n0 = len(support)
+    n0 = len(covered)
     remark = "also the projective plane of order 1" if n0 == 3 else ""
 
     sizes = {len(e) for e in base.edges}
@@ -225,7 +225,7 @@ def _classify_on_support(
     if n0 >= 3:
         base_sets = {frozenset(e) for e in base.edges}
         for apex in covered:
-            rim = support - {apex}
+            rim = [x for x in covered if x != apex]
             expected = {frozenset(rim)} | {frozenset((apex, x)) for x in rim}
             if base_sets == expected and base.m == n0:
                 return TFoldNearPencil(t, remark)

@@ -557,7 +557,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=_fraction, default=Fraction(1, 10))
     p.add_argument("--gamma", type=_fraction, default=Fraction(1, 8))
     p.add_argument("--r0", type=int)
-    p.add_argument("--json", action="store_true", help="(reports are always JSON)")
     p.set_defaults(func=_cmd_order)
 
     p = sub.add_parser("color", help="list-colour an instance")

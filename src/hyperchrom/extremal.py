@@ -20,7 +20,7 @@ from .exactarith import as_fraction, cmp_to_scaled_sqrt, at_least_scaled_sqrt
 from .hypercore import (
     ColouringFailure,
     Hypergraph,
-    line_graph,
+    mask_bits,
     normalize_lists,
     predicates,
 )
@@ -103,33 +103,33 @@ def is_t_useful(h: Hypergraph, t: int, e: int, f: int) -> bool:
         raise ValueError("t must be positive")
     if e == f or not (0 <= e < h.m and 0 <= f < h.m):
         raise ValueError(f"need two distinct edge ids, got {e}, {f}")
-    if not h.edge_mask(e) & h.edge_mask(f):
+    adj = h.view.rows
+    if not adj[e] >> f & 1:
         return False
-    adj = line_graph(h).adj
     common = adj[e] & adj[f]  # excludes e and f (no self-loops)
     return common.bit_count() <= t * h.n - 3
 
 
 def maximal_complement_matching(h: Hypergraph, strategy: str = "greedy") -> ComplementMatching:
-    """Pairs of vertex-disjoint edges: greedy first-fit or exact maximum."""
-    masks = h.edge_masks
+    """Pairs of vertex-disjoint edges: greedy first-fit or exact maximum.
+
+    First-fit pairs each unpaired edge, in id order, with the lowest later
+    unpaired edge it misses.
+    """
+    comp = h.view.line_graph.complement().adj
     if strategy == "greedy":
-        used: set[int] = set()
+        used = 0
         pairs = []
-        for i in range(h.m):
-            if i in used:
+        for i, row in enumerate(comp):
+            free = row & ~used & ~((2 << i) - 1)
+            if used >> i & 1 or not free:
                 continue
-            for j in range(i + 1, h.m):
-                if j not in used and not masks[i] & masks[j]:
-                    pairs.append((i, j))
-                    used.update((i, j))
-                    break
+            j = (free & -free).bit_length() - 1
+            pairs.append((i, j))
+            used |= 1 << i | 1 << j
         cm = ComplementMatching(tuple(pairs))
     elif strategy == "maximum":
-        comp_adj = [
-            [j for j in range(h.m) if j != i and not masks[i] & masks[j]]
-            for i in range(h.m)
-        ]
+        comp_adj = [mask_bits(row) for row in comp]
         cm = ComplementMatching(tuple(_matching.max_matching(h.m, comp_adj)))
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -254,7 +254,7 @@ def useful_cover_colour(
         raise ValueError(f"family must have {2 * r + 2} edges, got {len(fam)}")
     if len(set(fam)) != len(fam):
         raise ValueError("family edges must be distinct")
-    adj = line_graph(h).adj
+    adj = h.view.rows
     for i, a in enumerate(fam):
         for b in fam[i + 1 :]:
             if not adj[a] >> b & 1:
@@ -388,12 +388,9 @@ def find_useful_family(
         f"scale k={k}; |A-|={len(a_minus)} |A+|={len(a_plus)} |B|={len(b_big)} r={r}"
     )
 
-    adj = line_graph(h).adj
+    adj = h.view.rows
     masks = h.edge_masks
-    comp_adj = [
-        [j for j in range(m) if j != i and not masks[i] & masks[j]] for i in range(m)
-    ]
-    nmatch = _matching.max_matching(m, comp_adj)
+    nmatch = maximal_complement_matching(h, "maximum").pairs
     if len(nmatch) > r:
         notes.append(
             f"maximum complement matching has {len(nmatch)} > r={r} pairs;"
@@ -599,14 +596,8 @@ def colour_extremal(
         attempts.append(f"rung 1 stuck at edge {out.stuck_edge}")
     elif h.m == tn:
         if not predicates(h).is_intersecting:
-            masks = h.edge_masks
-            pair = next(
-                (i, j)
-                for i in range(h.m)
-                for j in range(i + 1, h.m)
-                if not masks[i] & masks[j]
-            )
-            cm = ComplementMatching((pair,))
+            # first-fit's first pair is the lexicographically first disjoint pair
+            cm = ComplementMatching(maximal_complement_matching(h).pairs[:1])
             if all(len(allowed[i]) >= h.m - 1 for i in range(h.m)):
                 out = colour_from_matching(h, cm, allowed)
                 if isinstance(out, dict):

@@ -11,12 +11,15 @@ All counting quantities (degrees, codegrees, volumes) are exact: integers or
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 __all__ = [
     "Hypergraph",
+    "LineGraphView",
     "Graph",
     "DegreeStats",
     "Predicates",
@@ -52,7 +55,7 @@ class Hypergraph:
         positions) and duplicates are kept.
     """
 
-    __slots__ = ("n", "edges", "_masks")
+    __slots__ = ("n", "edges", "_masks", "_view")
 
     def __init__(self, n: int, edges: Iterable[Iterable[int]]):
         if n < 0:
@@ -73,6 +76,7 @@ class Hypergraph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(norm))
         object.__setattr__(self, "_masks", tuple(masks))
+        object.__setattr__(self, "_view", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("Hypergraph is immutable")
@@ -90,6 +94,13 @@ class Hypergraph:
     @property
     def edge_masks(self) -> tuple[int, ...]:
         return self._masks
+
+    @property
+    def view(self) -> "LineGraphView":
+        """The instance's cached line-graph queries (built on first use)."""
+        if self._view is None:
+            object.__setattr__(self, "_view", LineGraphView(self.n, self.edges, self._masks))
+        return self._view
 
     def __eq__(self, other) -> bool:
         return (
@@ -169,26 +180,82 @@ class ColouringFailure:
         return False
 
 
+class LineGraphView:
+    """The line-graph queries of one hypergraph, each computed on first use.
+
+    ``Hypergraph.view`` builds one per instance, so repeated queries on the
+    same instance share the work.  ``rows[i]`` is the bitmask of the edges
+    other than ``i`` that meet edge ``i`` (parallel copies included);
+    ``closed_masks[v]`` is the bitmask of the closed vertex neighbourhood
+    N[v].
+    """
+
+    def __init__(self, n: int, edges: tuple[tuple[int, ...], ...], masks: tuple[int, ...]):
+        self._n = n
+        self._edges = edges
+        self._masks = masks
+
+    @cached_property
+    def line_graph(self) -> Graph:
+        # an edge meets exactly the edges incident to one of its vertices
+        incident = [0] * self._n
+        for i, e in enumerate(self._edges):
+            for v in e:
+                incident[v] |= 1 << i
+        rows = []
+        for i, e in enumerate(self._edges):
+            row = 0
+            for v in e:
+                row |= incident[v]
+            rows.append(row & ~(1 << i))
+        return Graph(len(self._edges), tuple(rows))
+
+    @property
+    def rows(self) -> tuple[int, ...]:
+        return self.line_graph.adj
+
+    @cached_property
+    def closed_masks(self) -> tuple[int, ...]:
+        closed = [1 << v for v in range(self._n)]
+        for e, mask in zip(self._edges, self._masks):
+            for v in e:
+                closed[v] |= mask
+        return tuple(closed)
+
+    @cached_property
+    def degree_stats(self) -> DegreeStats:
+        deg = [0] * self._n
+        codeg: dict[tuple[int, int], int] = {}
+        for e in self._edges:
+            for i, u in enumerate(e):
+                deg[u] += 1
+                for v in e[i + 1 :]:
+                    key = (u, v)
+                    codeg[key] = codeg.get(key, 0) + 1
+        return DegreeStats(
+            degree=tuple(deg),
+            codegree=MappingProxyType(codeg),
+            max_degree=max(deg, default=0),
+            max_codegree=max(codeg.values(), default=0),
+        )
+
+    @cached_property
+    def predicates(self) -> Predicates:
+        # two edges share two vertices exactly when that pair has codegree >= 2
+        full = (1 << len(self._edges)) - 1
+        return Predicates(
+            is_linear=self.degree_stats.max_codegree <= 1,
+            is_intersecting=all(row | 1 << i == full for i, row in enumerate(self.rows)),
+        )
+
+
 def degree_stats(h: Hypergraph) -> DegreeStats:
     """Vertex degrees and pairwise codegrees, with their maxima.
 
     The codegree map only lists pairs ``(u, v)`` with ``u < v`` covered by at
     least one edge; absent pairs have codegree 0.
     """
-    deg = [0] * h.n
-    codeg: dict[tuple[int, int], int] = {}
-    for e in h.edges:
-        for i, u in enumerate(e):
-            deg[u] += 1
-            for v in e[i + 1 :]:
-                key = (u, v)
-                codeg[key] = codeg.get(key, 0) + 1
-    return DegreeStats(
-        degree=tuple(deg),
-        codegree=codeg,
-        max_degree=max(deg, default=0),
-        max_codegree=max(codeg.values(), default=0),
-    )
+    return h.view.degree_stats
 
 
 def volume(h: Hypergraph, edge_ids: Iterable[int] | None = None) -> Fraction:
@@ -223,24 +290,9 @@ def dual(h: Hypergraph) -> Hypergraph:
     return Hypergraph(h.m, incident)
 
 
-def _edge_adjacency_masks(h: Hypergraph) -> list[int]:
-    masks = h.edge_masks
-    m = h.m
-    out = [0] * m
-    for i in range(m):
-        mi = masks[i]
-        row = out[i]
-        for j in range(i + 1, m):
-            if mi & masks[j]:
-                row |= 1 << j
-                out[j] |= 1 << i
-        out[i] = row
-    return out
-
-
 def line_graph(h: Hypergraph) -> Graph:
     """Graph on edge ids where two edges are adjacent iff they share a vertex."""
-    return Graph(h.m, tuple(_edge_adjacency_masks(h)))
+    return h.view.line_graph
 
 
 def predicates(h: Hypergraph) -> Predicates:
@@ -249,19 +301,7 @@ def predicates(h: Hypergraph) -> Predicates:
     Parallel edges of size >= 2 break linearity; the empty and one-edge
     hypergraphs satisfy both predicates vacuously.
     """
-    masks = h.edge_masks
-    linear = True
-    intersecting = True
-    for i in range(h.m):
-        for j in range(i + 1, h.m):
-            common = (masks[i] & masks[j]).bit_count()
-            if common > 1:
-                linear = False
-            if common == 0:
-                intersecting = False
-            if not linear and not intersecting:
-                return Predicates(False, False)
-    return Predicates(linear, intersecting)
+    return h.view.predicates
 
 
 def neighbourhoods(h: Hypergraph) -> Neighbourhoods:
@@ -270,25 +310,21 @@ def neighbourhoods(h: Hypergraph) -> Neighbourhoods:
     N[v] is {v} plus everything sharing an edge with v (so isolated vertices
     get the singleton {v}); N(e) is the set of other edges meeting e.
     """
-    closed_masks = [1 << v for v in range(h.n)]
-    for mask in h.edge_masks:
-        mm = mask
-        while mm:
-            v = (mm & -mm).bit_length() - 1
-            closed_masks[v] |= mask
-            mm &= mm - 1
-    closed = tuple(_mask_to_frozenset(cm) for cm in closed_masks)
-    edge_adj = _edge_adjacency_masks(h)
-    edge_nbrs = tuple(_mask_to_frozenset(a) for a in edge_adj)
-    return Neighbourhoods(closed_vertex=closed, edge=edge_nbrs)
+    view = h.view
+    return Neighbourhoods(
+        closed_vertex=tuple(frozenset(mask_bits(cm)) for cm in view.closed_masks),
+        edge=tuple(frozenset(mask_bits(row)) for row in view.rows),
+    )
 
 
-def _mask_to_frozenset(mask: int) -> frozenset[int]:
+def mask_bits(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, ascending."""
     out = []
     while mask:
-        out.append((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
-    return frozenset(out)
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def validate_colouring(

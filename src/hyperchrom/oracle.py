@@ -1,5 +1,5 @@
-"""Exact reference algorithms: chromatic index, list colourability,
-maximum complement matchings, and exhaustive small-instance enumeration.
+"""Exact reference algorithms: chromatic index, list colourability and
+exhaustive small-instance enumeration.
 
 The chromatic-index search runs on a compiled kernel when the extension
 built from ``_kernel.pyx`` is importable (and the instance fits in 64
@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from time import monotonic
 from typing import Iterable, Iterator, Mapping
 
-from . import _kernel_py, _matching
-from .extremal import ComplementMatching
-from .hypercore import Hypergraph, canonical_form, line_graph, normalize_lists
+from . import _kernel_py
+from .hypercore import Hypergraph, canonical_form, mask_bits, normalize_lists
 
 __all__ = [
     "OracleBudget",
@@ -24,7 +23,6 @@ __all__ = [
     "ListColourResult",
     "exact_chromatic_index",
     "exact_list_colourable",
-    "maximum_complement_matching",
     "enumerate_hypergraphs",
     "kernel_name",
 ]
@@ -93,7 +91,7 @@ def exact_chromatic_index(
         return BudgetExceeded("edges", f"e(H)={h.m} exceeds {budget.max_edges}")
     if h.m == 0:
         return 0
-    adj = list(line_graph(h).adj)
+    adj = list(h.view.rows)
     chi, _col, completed = _solve_chromatic(adj, budget.time_cap_ms)
     if not completed:
         return BudgetExceeded("time", f"best upper bound so far: {chi}")
@@ -121,10 +119,7 @@ def exact_list_colourable(
     if h.m == 0:
         return ListColourResult("yes", witness={})
     order = sorted(range(h.m), key=lambda i: (len(allowed[i]), i))
-    adj_rows = line_graph(h).adj
-    nbrs = [
-        [j for j in range(h.m) if adj_rows[i] >> j & 1] for i in range(h.m)
-    ]
+    nbrs = [mask_bits(row) for row in h.view.rows]
     col: dict[int, int] = {}
     deadline = monotonic() + budget.time_cap_ms / 1000.0
     state = {"nodes": 0, "timeout": False}
@@ -157,18 +152,6 @@ def exact_list_colourable(
     if ok:
         return ListColourResult("yes", witness=dict(col))
     return ListColourResult("no")
-
-
-def maximum_complement_matching(h: Hypergraph) -> ComplementMatching:
-    """Maximum set of disjoint pairs of vertex-disjoint edges (blossom)."""
-    masks = h.edge_masks
-    comp = [
-        [j for j in range(h.m) if j != i and not masks[i] & masks[j]]
-        for i in range(h.m)
-    ]
-    cm = ComplementMatching(tuple(_matching.max_matching(h.m, comp)))
-    cm.validate(h)
-    return cm
 
 
 def enumerate_hypergraphs(

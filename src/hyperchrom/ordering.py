@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 from .exactarith import as_fraction, at_least_scaled_sqrt, fourth_root_enclosure
-from .hypercore import ColouringFailure, Hypergraph, normalize_lists, volume
+from .hypercore import ColouringFailure, Hypergraph, mask_bits, normalize_lists, volume
 
 __all__ = [
     "EdgeOrdering",
@@ -28,6 +28,8 @@ __all__ = [
     "reorder",
     "partition_stability",
     "partition_extremal",
+    "taken_colours",
+    "greedy_extend",
     "greedy_list_colour",
 ]
 
@@ -85,27 +87,13 @@ def size_monotone_ordering(h: Hypergraph, edge_ids: Iterable[int] | None = None)
 
 def forward_degrees(h: Hypergraph, ordering: EdgeOrdering) -> dict[int, int]:
     """For each edge, how many earlier edges of the ordering intersect it."""
-    masks = h.edge_masks
+    rows = h.view.rows
     out: dict[int, int] = {}
-    earlier: list[int] = []
+    earlier = 0
     for e in ordering.perm:
-        m = masks[e]
-        out[e] = sum(1 for f in earlier if m & masks[f])
-        earlier.append(e)
+        out[e] = (rows[e] & earlier).bit_count()
+        earlier |= 1 << e
     return out
-
-
-def _local_adjacency(h: Hypergraph, ids: Sequence[int]) -> list[int]:
-    """Adjacency over positions of ``ids``: bit j set iff ids[i] meets ids[j]."""
-    masks = [h.edge_mask(i) for i in ids]
-    s = len(ids)
-    adj = [0] * s
-    for i in range(s):
-        for j in range(i + 1, s):
-            if masks[i] & masks[j]:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return adj
 
 
 def reorder(
@@ -145,16 +133,15 @@ def reorder(
     s = len(order)
     bound = t * (1 - tau) * h.n
 
-    lpos = {e: i for i, e in enumerate(ids)}
-    ladj = _local_adjacency(h, ids)
+    rows = h.view.rows
 
     def prefix_degree(e: int, prefix_mask: int) -> int:
-        return (ladj[lpos[e]] & prefix_mask).bit_count()
+        return (rows[e] & prefix_mask).bit_count()
 
     prefix_len = s
     prefix_mask = 0
     for e in order:
-        prefix_mask |= 1 << lpos[e]
+        prefix_mask |= 1 << e
 
     case = "A"
     e_star: int | None = None
@@ -165,7 +152,7 @@ def reorder(
         last = order[prefix_len - 1]
         if prefix_degree(last, prefix_mask) <= bound:
             prefix_len -= 1
-            prefix_mask &= ~(1 << lpos[last])
+            prefix_mask &= ~(1 << last)
             continue
         moved = False
         for i in range(prefix_len):
@@ -174,7 +161,7 @@ def reorder(
                 order.pop(i)
                 order.insert(prefix_len - 1, e)
                 prefix_len -= 1
-                prefix_mask &= ~(1 << lpos[e])
+                prefix_mask &= ~(1 << e)
                 moved = True
                 break
         if not moved:
@@ -223,8 +210,9 @@ def reorder(
     # O1: edges past the final prefix keep small forward degree; O2: the
     # prefix stays size-monotone.  Both should hold by construction and are
     # recomputed honestly here.
-    fwd = _forward_degrees_seq(h, order)
-    o1_ok = all(fwd[i] <= bound for i in range(prefix_len, s))
+    ordering = EdgeOrdering(tuple(order))
+    fwd = forward_degrees(h, ordering)
+    o1_ok = all(fwd[e] <= bound for e in order[prefix_len:])
     sizes_prefix = [len(h.edges[e]) for e in order[:prefix_len]]
     o2_ok = all(
         sizes_prefix[i] >= sizes_prefix[i + 1] for i in range(len(sizes_prefix) - 1)
@@ -233,24 +221,13 @@ def reorder(
     certificates["O2_ok"] = o2_ok
 
     return ReorderOutcome(
-        ordering=EdgeOrdering(tuple(order)),
+        ordering=ordering,
         case=case,
         e_star=e_star,
         W=w_block,
         bound=bound,
         certificates=certificates,
     )
-
-
-def _forward_degrees_seq(h: Hypergraph, seq: Sequence[int]) -> list[int]:
-    masks = h.edge_masks
-    out = []
-    prior: list[int] = []
-    for e in seq:
-        m = masks[e]
-        out.append(sum(1 for f in prior if m & masks[f]))
-        prior.append(e)
-    return out
 
 
 def _flag(
@@ -451,6 +428,39 @@ def partition_extremal(
     )
 
 
+def taken_colours(row: int, col: Mapping[int, int]) -> set[int]:
+    """The colours ``col`` gives the edges whose bits are set in ``row``.
+
+    Pass a line-graph row masked by the coloured edges to get the colours
+    an edge may not take.
+    """
+    return {col[f] for f in mask_bits(row)}
+
+
+def greedy_extend(
+    h: Hypergraph,
+    order: Iterable[int],
+    lists: Mapping[int, frozenset[int]],
+    col: dict[int, int],
+    pick: Callable[[frozenset[int]], int] = min,
+) -> int | None:
+    """Colour the edges of ``order`` one at a time into ``col``.
+
+    Each edge takes ``pick`` of its list minus the colours of the coloured
+    edges it meets (``col`` may arrive partly filled).  Returns the first
+    edge left without a colour, or None when every edge got one.
+    """
+    rows = h.view.rows
+    coloured = sum(1 << f for f in col)
+    for e in order:
+        opts = lists[e] - taken_colours(rows[e] & coloured, col)
+        if not opts:
+            return e
+        col[e] = pick(opts)
+        coloured |= 1 << e
+    return None
+
+
 def greedy_list_colour(
     h: Hypergraph,
     lists: Mapping[int, Iterable[int]],
@@ -467,12 +477,8 @@ def greedy_list_colour(
         ordering = EdgeOrdering(tuple(range(h.m)))
     if sorted(ordering.perm) != list(range(h.m)):
         raise ValueError("ordering must cover exactly the edges of H")
-    masks = h.edge_masks
     col: dict[int, int] = {}
-    for e in ordering.perm:
-        taken = {col[f] for f in col if masks[e] & masks[f]}
-        opts = allowed[e] - taken
-        if not opts:
-            return ColouringFailure("greedy", stuck_edge=e, detail="list exhausted")
-        col[e] = min(opts)
+    stuck = greedy_extend(h, ordering.perm, allowed, col)
+    if stuck is not None:
+        return ColouringFailure("greedy", stuck_edge=stuck, detail="list exhausted")
     return col

@@ -30,7 +30,7 @@ from .hypercore import (
     subhypergraph,
     validate_colouring,
 )
-from .ordering import partition_extremal, partition_stability
+from .ordering import greedy_extend, partition_extremal, partition_stability, taken_colours
 
 __all__ = [
     "SizeSplit",
@@ -173,13 +173,6 @@ def reserve_colours(
     )
 
 
-def _line_degrees(h: Hypergraph, ids: list[int]) -> dict[int, int]:
-    masks = h.edge_masks
-    return {
-        e: sum(1 for f in ids if f != e and masks[e] & masks[f]) for e in ids
-    }
-
-
 def colour_small(
     h: Hypergraph,
     edge_ids: Iterable[int],
@@ -205,27 +198,19 @@ def colour_small(
             return ColouringFailure(
                 "small", stuck_edge=e, detail="list emptied by forbidden colours"
             )
-    masks = h.edge_masks
-
-    def sweep(order: list[int], rng: random.Random | None):
-        col: dict[int, int] = {}
-        for e in order:
-            opts = allowed[e] - {col[f] for f in col if masks[e] & masks[f]}
-            if not opts:
-                return None, e
-            col[e] = rng.choice(sorted(opts)) if rng else min(opts)
-        return col, None
-
     for attempt in range(attempts):
         rng = random.Random((seed * 1_000_003 + attempt) & _MASK64)
         order = ids[:]
         rng.shuffle(order)
-        col, _stuck = sweep(order, rng)
-        if col is not None:
+        col: dict[int, int] = {}
+        if greedy_extend(h, order, allowed, col, lambda opts: rng.choice(sorted(opts))) is None:
             return col
-    deg = _line_degrees(h, ids)
-    col, stuck = sweep(sorted(ids, key=lambda e: (-deg[e], e)), None)
-    if col is not None:
+    rows, block = h.view.rows, sum(1 << e for e in allowed)
+    col = {}
+    stuck = greedy_extend(
+        h, sorted(ids, key=lambda e: (-(rows[e] & block).bit_count(), e)), allowed, col
+    )
+    if stuck is None:
         return col
     return ColouringFailure(
         "small",
@@ -265,14 +250,13 @@ def colour_sparse_block(
             sub, _ = subhypergraph(h, ids)
             report["codegree_ok"] = degree_stats(sub).max_codegree <= t
     allowed = {e: frozenset(lists[e]) for e in ids}
-    masks = h.edge_masks
-    deg = _line_degrees(h, ids)
+    rows, block = h.view.rows, sum(1 << e for e in allowed)
     col: dict[int, int] = {}
-    for e in sorted(ids, key=lambda e: (deg[e], e)):
-        opts = allowed[e] - {col[f] for f in col if masks[e] & masks[f]}
-        if not opts:
-            return ColouringFailure("sparse", stuck_edge=e), report
-        col[e] = min(opts)
+    stuck = greedy_extend(
+        h, sorted(ids, key=lambda e: ((rows[e] & block).bit_count(), e)), allowed, col
+    )
+    if stuck is not None:
+        return ColouringFailure("sparse", stuck_edge=stuck), report
     used = len(set(col.values()))
     report["colours_used"] = used
     if t is not None and zeta is not None:
@@ -280,33 +264,6 @@ def colour_sparse_block(
         report["target"] = target
         report["target_met"] = used <= target
     return col, report
-
-
-def _greedy_extend(
-    h: Hypergraph,
-    order_ids: Iterable[int],
-    lists: Mapping[int, frozenset[int]],
-    col: dict[int, int],
-) -> int | None:
-    """Greedily colour ``order_ids`` into ``col``; returns the stuck edge."""
-    masks = h.edge_masks
-    for e in order_ids:
-        opts = lists[e] - {col[f] for f in col if masks[e] & masks[f]}
-        if not opts:
-            return e
-        col[e] = min(opts)
-    return None
-
-
-def _intersecting_colours(
-    h: Hypergraph, e: int, col: Mapping[int, int], among: set[int] | None = None
-) -> set[int]:
-    masks = h.edge_masks
-    return {
-        c
-        for f, c in col.items()
-        if (among is None or f in among) and masks[e] & masks[f]
-    }
 
 
 def colour_stability(
@@ -391,7 +348,7 @@ def colour_stability(
                 colours_used=len(set(w_col.values())),
             )
         )
-        stuck = _greedy_extend(
+        stuck = greedy_extend(
             h, part["H2"], {e: allowed[e] & reserved for e in part["H2"]}, col
         )
         if stuck is not None:
@@ -402,7 +359,7 @@ def colour_stability(
         stages.append(
             StageRecord("lrg-H2", "ok", f"{len(part['H2'])} edges from the reserve")
         )
-        stuck = _greedy_extend(
+        stuck = greedy_extend(
             h, part["H1"], {e: allowed[e] - reserved for e in part["H1"]}, col
         )
         if stuck is not None:
@@ -414,12 +371,14 @@ def colour_stability(
     else:
         stages.append(StageRecord("lrg-partition", "skipped", "no large edges"))
 
+    rows = h.view.rows
     if split.med:
+        coloured = sum(1 << f for f in col)
         got = colour_small(
             h,
             split.med,
             {e: allowed[e] & reserved for e in split.med},
-            {e: _intersecting_colours(h, e, col) for e in split.med},
+            {e: taken_colours(rows[e] & coloured, col) for e in split.med},
             seed=params.seed + 1,
         )
         if isinstance(got, ColouringFailure):
@@ -438,12 +397,12 @@ def colour_stability(
         stages.append(StageRecord("med", "skipped", "no medium edges"))
 
     if split.sml:
-        lrg_set = set(split.lrg)
+        lrg_coloured = sum(1 << f for f in split.lrg)
         got = colour_small(
             h,
             split.sml,
             {e: allowed[e] - reserved for e in split.sml},
-            {e: _intersecting_colours(h, e, col, among=lrg_set) for e in split.sml},
+            {e: taken_colours(rows[e] & lrg_coloured, col) for e in split.sml},
             seed=params.seed + 2,
         )
         if isinstance(got, ColouringFailure):
@@ -483,8 +442,8 @@ def _kahn_note(
     """Informational only: would the nibble's list-size premise hold here?"""
     if not ids:
         return "kahn_premise_ok=vacuous"
-    deg = _line_degrees(h, list(ids))
-    max_deg = max(deg.values())
+    rows, block = h.view.rows, sum(1 << e for e in ids)
+    max_deg = max((rows[e] & block).bit_count() for e in ids)
     min_list = min(len(allowed[e] & reserved) for e in ids)
     ok = min_list >= (1 + eps) * max_deg
     return f"kahn_premise_ok={ok} (min_list={min_list}, max_block_degree={max_deg})"
@@ -495,33 +454,19 @@ def colour_main(
     t: int,
     lists: Mapping[int, Iterable[int]],
     params: PipelineParams | None = None,
-    *,
-    nonintersecting_variant: bool = False,
 ) -> PipelineRun:
     """Full ladder: stability script, extremal script, exact search.
 
     The extremal script reserves a block R with probability 2*gamma, gives
     medium edges C∩R and large edges their full lists, partitions med∪lrg
     into H3 < H2 < H1, colours H3 by the extremal ladder and the rest
-    greedily, then the small edges from C\\R.  ``nonintersecting_variant``
-    only records the premise that such instances typically get by with one
-    colour fewer; it changes no behaviour.
+    greedily, then the small edges from C\\R.
     """
     if t < 1:
         raise ValueError("t must be positive")
     params = params or PipelineParams()
     allowed = normalize_lists(h, lists)
     stages: list[StageRecord] = []
-    if nonintersecting_variant:
-        stages.append(
-            StageRecord(
-                "variant",
-                "ok",
-                "non-intersecting variant requested: premise recorded, "
-                "no behavioural change",
-            )
-        )
-
     sub_run = colour_stability(h, t, lists, params)
     stages.extend(replace(r, stage=f"stability:{r.stage}") for r in sub_run.stages)
     if sub_run.ok:
@@ -637,7 +582,7 @@ def _main_script(
         else:
             stages.append(StageRecord("main:H3", "skipped", "empty part"))
         for name in ("H2", "H1"):
-            stuck = _greedy_extend(h, part[name], residual, col)
+            stuck = greedy_extend(h, part[name], residual, col)
             if stuck is not None:
                 return fail(
                     f"main:{name}",
@@ -646,12 +591,13 @@ def _main_script(
             stages.append(StageRecord(f"main:{name}", "ok", f"{len(part[name])} edges"))
 
     if split.sml:
-        lrg_set = set(split.lrg)
+        rows = h.view.rows
+        lrg_coloured = sum(1 << f for f in split.lrg)
         got = colour_small(
             h,
             split.sml,
             {e: allowed[e] - reserved for e in split.sml},
-            {e: _intersecting_colours(h, e, col, among=lrg_set) for e in split.sml},
+            {e: taken_colours(rows[e] & lrg_coloured, col) for e in split.sml},
             seed=params.seed + 3,
         )
         if isinstance(got, ColouringFailure):

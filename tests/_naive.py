@@ -167,3 +167,29 @@ def naive_closed_nbhd(h: Hypergraph, v: int) -> set[int]:
         if v in e:
             out.update(e)
     return out
+
+
+def naive_predicates(h: Hypergraph) -> tuple[bool, bool]:
+    """(is_linear, is_intersecting) from pairwise vertex-set intersections."""
+    sizes = [
+        len(set(h.edges[i]) & set(h.edges[j]))
+        for i in range(h.m)
+        for j in range(i + 1, h.m)
+    ]
+    return all(s <= 1 for s in sizes), all(s >= 1 for s in sizes)
+
+
+def naive_greedy_colour(h: Hypergraph, order, lists, precoloured=None):
+    """Smallest-free-colour greedy along ``order`` on top of a pre-colouring.
+
+    Returns the colouring reached and the first edge left without a colour
+    (None when every edge of ``order`` got one).
+    """
+    col = dict(precoloured or {})
+    for e in order:
+        taken = {c for f, c in col.items() if set(h.edges[e]) & set(h.edges[f])}
+        free = sorted(set(lists[e]) - taken)
+        if not free:
+            return col, e
+        col[e] = free[0]
+    return col, None

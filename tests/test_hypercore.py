@@ -10,6 +10,7 @@ from hyperchrom import (
     dual,
     is_isomorphic,
     line_graph,
+    near_pencil,
     neighbourhoods,
     predicates,
     restrict_and_induce,
@@ -19,7 +20,14 @@ from hyperchrom import (
     validate_colouring,
     volume,
 )
-from tests._naive import naive_closed_nbhd, naive_degree, naive_volume
+from tests._naive import (
+    _edge_adj,
+    naive_closed_nbhd,
+    naive_degree,
+    naive_predicates,
+    naive_volume,
+)
+from tests.conftest import make_corpus
 
 
 class TestHypergraph:
@@ -179,6 +187,61 @@ class TestNeighbourhoods:
             nb = neighbourhoods(h)
             for v in range(h.n):
                 assert nb.closed_vertex[v] == naive_closed_nbhd(h, v)
+
+
+def _view_cases():
+    """Random instances, instances with parallel edges, and sub-hypergraphs."""
+    cases = [h for h, _t in make_corpus(20, base_seed=8100)]
+    cases += [
+        Hypergraph(5, [(0, 1), (0, 1), (1, 2, 3), (4,), (4,), (1, 2, 3)]),
+        t_fold(near_pencil(6), 3),
+        Hypergraph(4, []),
+    ]
+    cases += [subhypergraph(h, range(0, h.m, 2))[0] for h in cases[:10]]
+    return cases
+
+
+class TestLineGraphView:
+    def test_rows_match_naive(self):
+        for h in _view_cases():
+            rows = h.view.rows
+            for i, nbrs in enumerate(_edge_adj(h)):
+                assert rows[i] == sum(1 << j for j in nbrs)
+            assert line_graph(h).adj == rows
+
+    def test_closed_masks_match_naive(self):
+        for h in _view_cases():
+            for v in range(h.n):
+                mask = h.view.closed_masks[v]
+                assert {u for u in range(h.n) if mask >> u & 1} == naive_closed_nbhd(h, v)
+
+    def test_degrees_match_naive(self):
+        for h in _view_cases():
+            assert list(degree_stats(h).degree) == [naive_degree(h, v) for v in range(h.n)]
+
+    def test_predicates_match_naive(self):
+        for h in _view_cases():
+            p = predicates(h)
+            assert (p.is_linear, p.is_intersecting) == naive_predicates(h)
+
+    def test_built_once_per_instance(self):
+        h = Hypergraph(3, [(0, 1), (1, 2)])
+        assert h.view is h.view
+        assert line_graph(h) is line_graph(h)
+        assert degree_stats(h) is degree_stats(h)
+
+    def test_equality_and_hash_unchanged_after_build(self):
+        a = Hypergraph(4, [(0, 1), (1, 2), (2, 3)])
+        b = Hypergraph(4, [(1, 0), (2, 1), (3, 2)])
+        before = hash(a)
+        line_graph(a), neighbourhoods(a), predicates(a), degree_stats(a)
+        assert hash(a) == before == hash(b)
+        assert a == b and b == a
+
+    def test_codegree_map_is_read_only(self):
+        stats = degree_stats(Hypergraph(3, [(0, 1)]))
+        with pytest.raises(TypeError):
+            stats.codegree[(0, 1)] = 5
 
 
 class TestValidateColouring:

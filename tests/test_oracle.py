@@ -13,7 +13,7 @@ from hyperchrom import (
     exact_chromatic_index,
     exact_list_colourable,
     kernel_name,
-    maximum_complement_matching,
+    maximal_complement_matching,
     t_fold,
     validate_colouring,
 )
@@ -152,23 +152,23 @@ class TestExactListColourable:
 class TestMaximumComplementMatching:
     def test_fano_has_none(self, fano):
         # every two lines of the plane meet, so no disjoint pair exists
-        assert maximum_complement_matching(fano).pairs == ()
+        assert maximal_complement_matching(fano, "maximum").pairs == ()
 
     def test_k4_pairs_all_edges(self, k4):
-        cm = maximum_complement_matching(k4)
+        cm = maximal_complement_matching(k4, "maximum")
         assert len(cm.pairs) == 3
         cm.validate(k4)
 
     def test_four_disjoint_edges(self):
         h = Hypergraph(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
-        cm = maximum_complement_matching(h)
+        cm = maximal_complement_matching(h, "maximum")
         assert len(cm.pairs) == 2
 
     def test_matches_naive_on_corpus(self):
         for h, _t in make_corpus(14, base_seed=4400, n_range=(4, 8), t_range=(1, 2)):
             if h.m > 8:
                 continue
-            cm = maximum_complement_matching(h)
+            cm = maximal_complement_matching(h, "maximum")
             cm.validate(h)
             assert len(cm.pairs) == naive_max_complement_matching_size(h)
 

@@ -1,5 +1,6 @@
 """Local-search reordering, the two partition scripts, and ordered greedy."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,8 +20,9 @@ from hyperchrom import (
     validate_colouring,
 )
 from hyperchrom.exactarith import fourth_root_enclosure
+from hyperchrom.ordering import greedy_extend
 
-from tests._naive import naive_forward_degrees, naive_volume
+from tests._naive import naive_forward_degrees, naive_greedy_colour, naive_volume
 from tests.conftest import make_corpus
 
 
@@ -371,3 +373,33 @@ class TestGreedyListColour:
             col = greedy_list_colour(h, lists, order)
             assert not isinstance(col, ColouringFailure)
             validate_colouring(h, col, lists=lists)
+
+
+class TestGreedyExtend:
+    def test_matches_naive_on_random_orders_and_precolourings(self):
+        rng = random.Random(7300)
+        for h, _t in make_corpus(30, base_seed=7300):
+            order = list(range(h.m))
+            rng.shuffle(order)
+            cut = rng.randint(0, h.m)
+            # lists reach below zero: colours are arbitrary ints, not bit positions
+            lists = {
+                e: frozenset(rng.sample(range(-4, 6), rng.randint(1, 6))) for e in range(h.m)
+            }
+            pre = {e: rng.choice(sorted(lists[e])) for e in order[:cut]}
+            col = dict(pre)
+            stuck = greedy_extend(h, order[cut:], lists, col)
+            assert (col, stuck) == naive_greedy_colour(h, order[cut:], lists, pre)
+
+    def test_list_colour_matches_naive(self, corpus):
+        rng = random.Random(7400)
+        for h, _t in corpus[:20]:
+            order = list(range(h.m))
+            rng.shuffle(order)
+            lists = {e: rng.sample(range(-3, 8), rng.randint(2, 8)) for e in range(h.m)}
+            got = greedy_list_colour(h, lists, EdgeOrdering(tuple(order)))
+            col, stuck = naive_greedy_colour(h, order, lists)
+            if stuck is None:
+                assert got == col
+            else:
+                assert isinstance(got, ColouringFailure) and got.stuck_edge == stuck

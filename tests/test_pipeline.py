@@ -302,14 +302,6 @@ class TestColourMain:
         assert not run.ok
         assert _stage_map(run)["exact"] == "skipped"
 
-    def test_variant_flag_records_only(self, fano):
-        h = t_fold(fano, 2)
-        lists = uniform_lists(h, 14)
-        plain = colour_main(h, 2, lists)
-        variant = colour_main(h, 2, lists, nonintersecting_variant=True)
-        assert variant.stages[0].stage == "variant"
-        assert variant.outcome == plain.outcome
-
     def test_success_validates_on_corpus(self):
         for h, t in make_corpus(10, base_seed=6200, n_range=(5, 12), t_range=(1, 2)):
             lists = uniform_lists(h, t * h.n)
