@@ -1,17 +1,14 @@
-"""Pure-Python chromatic-number kernel.
+"""Chromatic-number kernel behind ``oracle.exact_chromatic_index``.
 
-Semantics-identical twin of the compiled kernel in ``_kernel.pyx``; the
-oracle picks one of the two at import time.  Works on bitmask adjacency rows
-and returns ``(chi, colouring, completed)`` where ``completed`` is False only
-when the time cap interrupted the proof (the returned value is then the best
-upper bound found, with its colouring).
+Works on bitmask adjacency rows and returns ``(chi, colouring, completed)``
+where ``completed`` is False only when the wall-clock time cap interrupted
+the proof (the returned value is then the best upper bound found, with its
+colouring).
 """
 
 from __future__ import annotations
 
 from time import monotonic
-
-IMPLEMENTATION = "python"
 
 
 class _Timeout(Exception):

@@ -1,15 +1,12 @@
 """Exact reference algorithms: chromatic index, list colourability and
 exhaustive small-instance enumeration.
 
-The chromatic-index search runs on a compiled kernel when the extension
-built from ``_kernel.pyx`` is importable (and the instance fits in 64
-bits); otherwise the pure-Python twin takes over.  Set ``HYPERCHROM_PURE=1``
-to force the fallback.
+The chromatic-index search runs on the line graph's bitmask rows in
+``_kernel_py``; its time cap counts wall-clock time.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from time import monotonic
 from typing import Iterable, Iterator, Mapping
@@ -27,23 +24,10 @@ __all__ = [
     "kernel_name",
 ]
 
-_compiled = None
-if not os.environ.get("HYPERCHROM_PURE"):
-    try:
-        from . import _kernel as _compiled  # type: ignore[attr-defined]
-    except ImportError:
-        _compiled = None
-
 
 def kernel_name() -> str:
-    """Which chromatic kernel imports selected: 'cython' or 'python'."""
-    return _compiled.IMPLEMENTATION if _compiled is not None else _kernel_py.IMPLEMENTATION
-
-
-def _solve_chromatic(adj: list[int], time_cap_ms: int) -> tuple[int, list[int], bool]:
-    if _compiled is not None and len(adj) <= 64:
-        return _compiled.solve_chromatic(adj, time_cap_ms)
-    return _kernel_py.solve_chromatic(adj, time_cap_ms)
+    """Name of the chromatic kernel ``exact_chromatic_index`` runs."""
+    return "python"
 
 
 @dataclass(frozen=True)
@@ -92,7 +76,7 @@ def exact_chromatic_index(
     if h.m == 0:
         return 0
     adj = list(h.view.rows)
-    chi, _col, completed = _solve_chromatic(adj, budget.time_cap_ms)
+    chi, _col, completed = _kernel_py.solve_chromatic(adj, budget.time_cap_ms)
     if not completed:
         return BudgetExceeded("time", f"best upper bound so far: {chi}")
     if chi > budget.max_colours:

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .exactarith import as_fraction, cmp_to_scaled_sqrt
 from .extremal import colour_extremal
@@ -139,6 +139,12 @@ def split_by_size(h: Hypergraph, r0: int, r1: int) -> SizeSplit:
     return SizeSplit(tuple(sml), tuple(med), tuple(lrg), r0, r1)
 
 
+def _below(x: float, p: int, q: int) -> bool:
+    """Exactly x < p/q, for a float x in [0, 1) and integers p >= 0, q > 0."""
+    num, den = x.as_integer_ratio()
+    return num * q < p * den
+
+
 def reserve_colours(
     lists: Mapping[int, Iterable[int]],
     gamma,
@@ -160,11 +166,15 @@ def reserve_colours(
         raise ValueError("xi must lie in (0, 1)")
     norm = {e: frozenset(cs) for e, cs in lists.items()}
     universe = sorted(frozenset().union(*norm.values())) if norm else []
+    # with gamma = gp/gq and xi = xp/xq the window, scaled by den = gq*xq,
+    # reads lo*|C| <= den*|R ∩ C| <= hi*|C| in integers
+    gp, gq, xp, xq = gamma.numerator, gamma.denominator, xi.numerator, xi.denominator
+    lo, hi, den = gp * xq - xp * gq, gp * xq + xp * gq, gq * xq
     for attempt in range(100):
         rng = random.Random((seed * 1_000_003 + attempt) & _MASK64)
-        reserved = frozenset(c for c in universe if rng.random() < gamma)
+        reserved = frozenset(c for c in universe if _below(rng.random(), gp, gq))
         if all(
-            (gamma - xi) * len(cs) <= len(reserved & cs) <= (gamma + xi) * len(cs)
+            lo * len(cs) <= len(reserved & cs) * den <= hi * len(cs)
             for cs in norm.values()
         ):
             return ReservedColours(reserved, gamma, xi, seed, attempt)
@@ -283,52 +293,127 @@ def colour_stability(
     if t < 1:
         raise ValueError("t must be positive")
     params = params or PipelineParams()
-    allowed = normalize_lists(h, lists)
-    stages: list[StageRecord] = []
-    r0 = params.resolved_r0(h.n)
-    split = split_by_size(h, r0, params.r1)
-    stages.append(
-        StageRecord(
-            "split",
-            "ok",
-            f"sml={len(split.sml)} med={len(split.med)} lrg={len(split.lrg)} "
-            f"r0={r0} r1={params.r1}",
-        )
+    script = _Script(h, t, normalize_lists(h, lists), params, prefix="")
+    outcome = _run_script(script, params.sigma, 2, _stability_middle)
+    return PipelineRun(outcome, tuple(script.stages))
+
+
+@dataclass
+class _Script:
+    """One run of a staged script: its inputs and the records it has written."""
+
+    h: Hypergraph
+    t: int
+    allowed: dict[int, frozenset[int]]
+    params: PipelineParams
+    prefix: str  # prepended to every stage name
+    stages: list[StageRecord] = field(default_factory=list)
+
+    def record(self, stage: str, status: str, detail: str = "", **kw) -> None:
+        self.stages.append(StageRecord(self.prefix + stage, status, detail, **kw))
+
+    def fail(
+        self, stage: str, detail: str, stuck_edge: int | None = None
+    ) -> ColouringFailure:
+        self.record(stage, "failed", detail)
+        return ColouringFailure(self.prefix + stage, stuck_edge=stuck_edge, detail=detail)
+
+
+def _run_script(
+    s: _Script,
+    rate: Fraction,
+    sml_seed: int,
+    middle: Callable[..., ColouringFailure | None],
+) -> dict[int, int] | ColouringFailure:
+    """The frame both staged scripts share: split, reserve, middle, sml, validate.
+
+    The reserve R takes each colour with probability 2*rate, within a
+    rate/2 window per edge, and is skipped when no medium or large edges
+    exist, since only they draw on R.  ``middle`` colours the medium and
+    large edges into the colouring and returns a failure or None.  Small
+    edges then take C\\R, avoiding the colours of intersecting large edges,
+    with seed ``params.seed + sml_seed``.
+    """
+    h, allowed, params = s.h, s.allowed, s.params
+    split = split_by_size(h, params.resolved_r0(h.n), params.r1)
+    s.record(
+        "split",
+        "ok",
+        f"sml={len(split.sml)} med={len(split.med)} lrg={len(split.lrg)} "
+        f"r0={split.r0} r1={split.r1}",
     )
-
-    def fail(stage: str, failure: ColouringFailure) -> PipelineRun:
-        stages.append(StageRecord(stage, "failed", failure.detail))
-        return PipelineRun(
-            ColouringFailure(stage, stuck_edge=failure.stuck_edge, detail=failure.detail),
-            tuple(stages),
-        )
-
     if split.med or split.lrg:
-        res = reserve_colours(allowed, 2 * params.sigma, params.sigma / 2, params.seed)
+        res = reserve_colours(allowed, 2 * rate, rate / 2, params.seed)
         if isinstance(res, ColouringFailure):
-            return fail("reserve", res)
+            return s.fail("reserve", res.detail)
         reserved = res.colours
-        stages.append(
-            StageRecord(
-                "reserve",
-                "ok",
-                f"|R|={len(reserved)} retries={res.retries_used}",
-                seed=params.seed,
-            )
+        s.record(
+            "reserve",
+            "ok",
+            f"|R|={len(reserved)} retries={res.retries_used}",
+            seed=params.seed,
         )
     else:
         reserved = frozenset()
-        stages.append(StageRecord("reserve", "skipped", "no medium or large edges"))
+        s.record("reserve", "skipped", "no medium or large edges")
 
     col: dict[int, int] = {}
-    if split.lrg:
-        sub, ids = subhypergraph(h, split.lrg)
-        cert = partition_stability(sub, t, params.sigma, params.delta)
-        part = {k: tuple(ids[i] for i in v) for k, v in cert.parts.items()}
-        flags = " ".join(
-            f"{k}={'T' if v else 'F'}" for k, v in sorted(cert.property_flags.items())
+    failure = middle(s, split, reserved, col)
+    if failure is not None:
+        return failure
+
+    if split.sml:
+        rows = h.view.rows
+        lrg_coloured = sum(1 << f for f in split.lrg)
+        got = colour_small(
+            h,
+            split.sml,
+            {e: allowed[e] - reserved for e in split.sml},
+            {e: taken_colours(rows[e] & lrg_coloured, col) for e in split.sml},
+            seed=params.seed + sml_seed,
         )
-        stages.append(StageRecord("lrg-partition", "ok", flags))
+        if isinstance(got, ColouringFailure):
+            return s.fail("sml", got.detail, got.stuck_edge)
+        # sml colours avoid R while med colours sit inside it, so the two
+        # blocks can never collide; anything else is a bug, not bad luck.
+        assert not set(got.values()) & {col[e] for e in split.med if e in col}
+        col.update(got)
+        s.record(
+            "sml", "ok", colours_used=len(set(got.values())), seed=params.seed + sml_seed
+        )
+    else:
+        s.record("sml", "skipped", "no small edges")
+
+    report = validate_colouring(h, col, lists=allowed)
+    if not report.valid:
+        return s.fail("validate", f"violations: {report.violations[:3]}")
+    s.record("validate", "ok", colours_used=report.colour_count)
+    return col
+
+
+def _partition(
+    s: _Script, stage: str, edge_ids: tuple[int, ...], partition, *args
+) -> dict[str, tuple[int, ...]]:
+    """Run ``partition`` on the sub-hypergraph of ``edge_ids`` and record its
+    property flags; the parts come back as edge ids of H."""
+    sub, ids = subhypergraph(s.h, edge_ids)
+    cert = partition(sub, s.t, *args)
+    flags = " ".join(
+        f"{k}={'T' if v else 'F'}" for k, v in sorted(cert.property_flags.items())
+    )
+    s.record(stage, "ok", flags)
+    return {k: tuple(ids[i] for i in v) for k, v in cert.parts.items()}
+
+
+def _stability_middle(
+    s: _Script, split: SizeSplit, reserved: frozenset[int], col: dict[int, int]
+) -> ColouringFailure | None:
+    """Large edges as W / H2 / H1, then the medium edges from C∩R."""
+    h, t, allowed, params = s.h, s.t, s.allowed, s.params
+    if split.lrg:
+        part = _partition(
+            s, "lrg-partition", split.lrg, partition_stability, params.sigma, params.delta
+        )
         w_col, w_report = colour_sparse_block(
             h,
             part["W"],
@@ -338,97 +423,52 @@ def colour_stability(
             alpha=params.delta,
         )
         if isinstance(w_col, ColouringFailure):
-            return fail("lrg-W", w_col)
+            return s.fail("lrg-W", w_col.detail, w_col.stuck_edge)
         col.update(w_col)
-        stages.append(
-            StageRecord(
-                "lrg-W",
-                "ok",
-                " ".join(f"{k}={v}" for k, v in w_report.items()),
-                colours_used=len(set(w_col.values())),
-            )
+        s.record(
+            "lrg-W",
+            "ok",
+            " ".join(f"{k}={v}" for k, v in w_report.items()),
+            colours_used=len(set(w_col.values())),
         )
         stuck = greedy_extend(
             h, part["H2"], {e: allowed[e] & reserved for e in part["H2"]}, col
         )
         if stuck is not None:
-            return fail(
-                "lrg-H2",
-                ColouringFailure("lrg-H2", stuck_edge=stuck, detail="reserved list exhausted"),
-            )
-        stages.append(
-            StageRecord("lrg-H2", "ok", f"{len(part['H2'])} edges from the reserve")
-        )
+            return s.fail("lrg-H2", "reserved list exhausted", stuck)
+        s.record("lrg-H2", "ok", f"{len(part['H2'])} edges from the reserve")
         stuck = greedy_extend(
             h, part["H1"], {e: allowed[e] - reserved for e in part["H1"]}, col
         )
         if stuck is not None:
-            return fail(
-                "lrg-H1",
-                ColouringFailure("lrg-H1", stuck_edge=stuck, detail="list exhausted"),
-            )
-        stages.append(StageRecord("lrg-H1", "ok", f"{len(part['H1'])} edges"))
+            return s.fail("lrg-H1", "list exhausted", stuck)
+        s.record("lrg-H1", "ok", f"{len(part['H1'])} edges")
     else:
-        stages.append(StageRecord("lrg-partition", "skipped", "no large edges"))
+        s.record("lrg-partition", "skipped", "no large edges")
 
+    if not split.med:
+        s.record("med", "skipped", "no medium edges")
+        return None
     rows = h.view.rows
-    if split.med:
-        coloured = sum(1 << f for f in col)
-        got = colour_small(
-            h,
-            split.med,
-            {e: allowed[e] & reserved for e in split.med},
-            {e: taken_colours(rows[e] & coloured, col) for e in split.med},
-            seed=params.seed + 1,
-        )
-        if isinstance(got, ColouringFailure):
-            return fail("med", got)
-        col.update(got)
-        stages.append(
-            StageRecord(
-                "med",
-                "ok",
-                _kahn_note(h, split.med, allowed, reserved, params.eps, t),
-                colours_used=len(set(got.values())),
-                seed=params.seed + 1,
-            )
-        )
-    else:
-        stages.append(StageRecord("med", "skipped", "no medium edges"))
-
-    if split.sml:
-        lrg_coloured = sum(1 << f for f in split.lrg)
-        got = colour_small(
-            h,
-            split.sml,
-            {e: allowed[e] - reserved for e in split.sml},
-            {e: taken_colours(rows[e] & lrg_coloured, col) for e in split.sml},
-            seed=params.seed + 2,
-        )
-        if isinstance(got, ColouringFailure):
-            return fail("sml", got)
-        # sml colours avoid R while med colours sit inside it, so the two
-        # blocks can never collide; anything else is a bug, not bad luck.
-        assert not {c for e, c in got.items()} & {
-            col[e] for e in split.med if e in col
-        }
-        col.update(got)
-        stages.append(
-            StageRecord(
-                "sml", "ok", colours_used=len(set(got.values())), seed=params.seed + 2
-            )
-        )
-    else:
-        stages.append(StageRecord("sml", "skipped", "no small edges"))
-
-    report = validate_colouring(h, col, lists=allowed)
-    if not report.valid:
-        return fail(
-            "validate",
-            ColouringFailure("validate", detail=f"violations: {report.violations[:3]}"),
-        )
-    stages.append(StageRecord("validate", "ok", colours_used=report.colour_count))
-    return PipelineRun(col, tuple(stages))
+    coloured = sum(1 << f for f in col)
+    got = colour_small(
+        h,
+        split.med,
+        {e: allowed[e] & reserved for e in split.med},
+        {e: taken_colours(rows[e] & coloured, col) for e in split.med},
+        seed=params.seed + 1,
+    )
+    if isinstance(got, ColouringFailure):
+        return s.fail("med", got.detail, got.stuck_edge)
+    col.update(got)
+    s.record(
+        "med",
+        "ok",
+        _kahn_note(h, split.med, allowed, reserved, params.eps, t),
+        colours_used=len(set(got.values())),
+        seed=params.seed + 1,
+    )
+    return None
 
 
 def _kahn_note(
@@ -466,13 +506,14 @@ def colour_main(
         raise ValueError("t must be positive")
     params = params or PipelineParams()
     allowed = normalize_lists(h, lists)
-    stages: list[StageRecord] = []
-    sub_run = colour_stability(h, t, lists, params)
-    stages.extend(replace(r, stage=f"stability:{r.stage}") for r in sub_run.stages)
+    sub_run = colour_stability(h, t, allowed, params)
+    stages = [replace(r, stage=f"stability:{r.stage}") for r in sub_run.stages]
     if sub_run.ok:
         return PipelineRun(sub_run.outcome, tuple(stages))
 
-    outcome = _main_script(h, t, allowed, params, stages)
+    script = _Script(h, t, allowed, params, prefix="main:")
+    outcome = _run_script(script, params.gamma, 3, _extremal_middle)
+    stages.extend(script.stages)
     if not isinstance(outcome, ColouringFailure):
         return PipelineRun(outcome, tuple(stages))
 
@@ -504,118 +545,43 @@ def colour_main(
     return PipelineRun(failure, tuple(stages))
 
 
-def _main_script(
-    h: Hypergraph,
-    t: int,
-    allowed: dict[int, frozenset[int]],
-    params: PipelineParams,
-    stages: list[StageRecord],
-) -> dict[int, int] | ColouringFailure:
-    """The second rung of colour_main; appends its records to ``stages``."""
-    r0 = params.resolved_r0(h.n)
-    split = split_by_size(h, r0, params.r1)
-    stages.append(
-        StageRecord(
-            "main:split",
-            "ok",
-            f"sml={len(split.sml)} med={len(split.med)} lrg={len(split.lrg)}",
-        )
-    )
-
-    def fail(stage: str, failure: ColouringFailure) -> ColouringFailure:
-        stages.append(StageRecord(stage, "failed", failure.detail))
-        return ColouringFailure(
-            stage, stuck_edge=failure.stuck_edge, detail=failure.detail
-        )
-
+def _extremal_middle(
+    s: _Script, split: SizeSplit, reserved: frozenset[int], col: dict[int, int]
+) -> ColouringFailure | None:
+    """Medium edges keep C∩R and large edges their full lists; med∪lrg is
+    partitioned into H3 < H2 < H1, H3 coloured by the extremal ladder and
+    H2, H1 greedily."""
     mid_large = tuple(sorted(split.med + split.lrg))
-    if mid_large:
-        res = reserve_colours(allowed, 2 * params.gamma, params.gamma / 2, params.seed)
-        if isinstance(res, ColouringFailure):
-            return fail("main:reserve", res)
-        reserved = res.colours
-        stages.append(
-            StageRecord(
-                "main:reserve",
-                "ok",
-                f"|R|={len(reserved)} retries={res.retries_used}",
-                seed=params.seed,
-            )
-        )
-    else:
-        reserved = frozenset()
-        stages.append(StageRecord("main:reserve", "skipped", "no medium or large edges"))
-
-    col: dict[int, int] = {}
+    if not mid_large:
+        return None
+    h, allowed, params = s.h, s.allowed, s.params
     med_set = set(split.med)
-    if mid_large:
-        residual = {
-            e: (allowed[e] & reserved if e in med_set else allowed[e]) for e in mid_large
-        }
-        sub, ids = subhypergraph(h, mid_large)
-        cert = partition_extremal(sub, t, params.delta, params.gamma, r0)
-        part = {k: tuple(ids[i] for i in v) for k, v in cert.parts.items()}
-        flags = " ".join(
-            f"{k}={'T' if v else 'F'}" for k, v in sorted(cert.property_flags.items())
-        )
-        stages.append(StageRecord("main:partition", "ok", flags))
-        if part["H3"]:
-            sub3, ids3 = subhypergraph(h, part["H3"])
-            got, rep = colour_extremal(
-                sub3,
-                t,
-                {i: residual[orig] for i, orig in enumerate(ids3)},
-                delta=params.delta,
-                exact_budget=params.exact_budget,
-            )
-            if isinstance(got, ColouringFailure):
-                return fail("main:H3", got)
-            col.update({ids3[i]: c for i, c in got.items()})
-            stages.append(
-                StageRecord(
-                    "main:H3",
-                    "ok",
-                    f"extremal rung: {rep.rung}",
-                    colours_used=len(set(got.values())),
-                )
-            )
-        else:
-            stages.append(StageRecord("main:H3", "skipped", "empty part"))
-        for name in ("H2", "H1"):
-            stuck = greedy_extend(h, part[name], residual, col)
-            if stuck is not None:
-                return fail(
-                    f"main:{name}",
-                    ColouringFailure(name, stuck_edge=stuck, detail="list exhausted"),
-                )
-            stages.append(StageRecord(f"main:{name}", "ok", f"{len(part[name])} edges"))
-
-    if split.sml:
-        rows = h.view.rows
-        lrg_coloured = sum(1 << f for f in split.lrg)
-        got = colour_small(
-            h,
-            split.sml,
-            {e: allowed[e] - reserved for e in split.sml},
-            {e: taken_colours(rows[e] & lrg_coloured, col) for e in split.sml},
-            seed=params.seed + 3,
+    residual = {
+        e: (allowed[e] & reserved if e in med_set else allowed[e]) for e in mid_large
+    }
+    part = _partition(
+        s, "partition", mid_large, partition_extremal, params.delta, params.gamma, split.r0
+    )
+    if part["H3"]:
+        sub3, ids3 = subhypergraph(h, part["H3"])
+        got, rep = colour_extremal(
+            sub3,
+            s.t,
+            {i: residual[orig] for i, orig in enumerate(ids3)},
+            delta=params.delta,
+            exact_budget=params.exact_budget,
         )
         if isinstance(got, ColouringFailure):
-            return fail("main:sml", got)
-        col.update(got)
-        stages.append(
-            StageRecord(
-                "main:sml", "ok", colours_used=len(set(got.values())), seed=params.seed + 3
-            )
+            return s.fail("H3", got.detail, got.stuck_edge)
+        col.update({ids3[i]: c for i, c in got.items()})
+        s.record(
+            "H3", "ok", f"extremal rung: {rep.rung}", colours_used=len(set(got.values()))
         )
     else:
-        stages.append(StageRecord("main:sml", "skipped", "no small edges"))
-
-    report = validate_colouring(h, col, lists=allowed)
-    if not report.valid:
-        return fail(
-            "main:validate",
-            ColouringFailure("validate", detail=f"violations: {report.violations[:3]}"),
-        )
-    stages.append(StageRecord("main:validate", "ok", colours_used=report.colour_count))
-    return col
+        s.record("H3", "skipped", "empty part")
+    for name in ("H2", "H1"):
+        stuck = greedy_extend(h, part[name], residual, col)
+        if stuck is not None:
+            return s.fail(name, "list exhausted", stuck)
+        s.record(name, "ok", f"{len(part[name])} edges")
+    return None

@@ -8,6 +8,7 @@ are fixed small constants verified by them).
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 from hyperchrom.hypercore import Hypergraph
@@ -193,3 +194,24 @@ def naive_greedy_colour(h: Hypergraph, order, lists, precoloured=None):
             return col, e
         col[e] = free[0]
     return col, None
+
+
+def naive_reserve_colours(lists, gamma, xi, seed: int):
+    """The reservation draw with every comparison in ``Fraction`` arithmetic.
+
+    Same seeds and acceptance rule as ``pipeline.reserve_colours``; returns
+    (reserved colours, attempt) or None when all 100 draws fail.
+    """
+    gamma = Fraction(gamma)
+    xi = Fraction(xi)
+    norm = {e: frozenset(cs) for e, cs in lists.items()}
+    universe = sorted(frozenset().union(*norm.values())) if norm else []
+    for attempt in range(100):
+        rng = random.Random((seed * 1_000_003 + attempt) & ((1 << 64) - 1))
+        reserved = frozenset(c for c in universe if rng.random() < gamma)
+        if all(
+            (gamma - xi) * len(cs) <= len(reserved & cs) <= (gamma + xi) * len(cs)
+            for cs in norm.values()
+        ):
+            return reserved, attempt
+    return None

@@ -7,6 +7,7 @@ import pytest
 
 from hyperchrom import (
     BudgetExceeded,
+    GeneratorParams,
     Hypergraph,
     OracleBudget,
     enumerate_hypergraphs,
@@ -14,16 +15,18 @@ from hyperchrom import (
     exact_list_colourable,
     kernel_name,
     maximal_complement_matching,
+    random_bounded_codegree,
     t_fold,
     validate_colouring,
 )
+from hyperchrom import _kernel_py
 from hyperchrom.hypercore import canonical_form
-from hyperchrom.oracle import _solve_chromatic
 
 from tests._naive import (
     naive_chromatic_index,
     naive_list_colouring,
     naive_max_complement_matching_size,
+    naive_validate,
 )
 from tests.conftest import make_corpus
 
@@ -68,35 +71,22 @@ class TestExactChromaticIndex:
             assert exact_chromatic_index(h) == naive_chromatic_index(h)
 
 
-class TestKernelParity:
+class TestKernel:
     def test_kernel_selected(self):
-        assert kernel_name() in ("cython", "python")
-
-    @pytest.mark.skipif(
-        kernel_name() != "cython", reason="compiled kernel not built"
-    )
-    def test_compiled_agrees_with_pure(self):
-        from hyperchrom import _kernel, _kernel_py
-
-        for h, _t in make_corpus(10, base_seed=4100, n_range=(4, 8), t_range=(1, 2)):
-            if h.m > 10:
-                continue
-            from hyperchrom.hypercore import line_graph
-
-            adj = list(line_graph(h).adj)
-            chi_c, col_c, done_c = _kernel.solve_chromatic(adj, 60_000)
-            chi_p, col_p, done_p = _kernel_py.solve_chromatic(adj, 60_000)
-            assert done_c and done_p
-            assert chi_c == chi_p
-            # both witnesses must be proper colourings of the line graph
-            for col in (col_c, col_p):
-                for i in range(len(adj)):
-                    for j in range(i + 1, len(adj)):
-                        if adj[i] >> j & 1:
-                            assert col[i] != col[j]
+        assert kernel_name() == "python"
 
     def test_solver_handles_empty_graph(self):
-        assert _solve_chromatic([], 1000) == (0, [], True)
+        assert _kernel_py.solve_chromatic([], 1000) == (0, [], True)
+
+    def test_time_cap_returns_best_proper_colouring(self):
+        # Delta-tight instance whose proof takes far longer than the cap
+        h = random_bounded_codegree(
+            GeneratorParams(seed=0, n=14, t=2, size_range=(2, 4), density=40)
+        )
+        chi, col, completed = _kernel_py.solve_chromatic(list(h.view.rows), 20)
+        assert completed is False
+        assert naive_validate(h, dict(enumerate(col)))
+        assert chi == max(col) + 1
 
 
 class TestExactListColourable:

@@ -1,12 +1,14 @@
 """Size split, colour reservation, block colouring, and the two ladders."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from hyperchrom import (
     ColouringFailure,
+    GeneratorParams,
     Hypergraph,
     PipelineParams,
     colour_main,
@@ -14,6 +16,7 @@ from hyperchrom import (
     colour_sparse_block,
     colour_stability,
     near_pencil,
+    random_bounded_codegree,
     reserve_colours,
     split_by_size,
     t_fold,
@@ -22,6 +25,7 @@ from hyperchrom import (
 )
 from hyperchrom.oracle import exact_list_colourable
 
+from tests._naive import naive_reserve_colours
 from tests.conftest import make_corpus
 
 
@@ -116,6 +120,38 @@ class TestReserveColours:
         res = reserve_colours({}, Fraction(1, 2), Fraction(1, 10), seed=0)
         assert res.colours == frozenset()
 
+    def test_matches_fraction_reference(self):
+        # the rates colour_stability (2σ, σ/2) and colour_main (2γ, γ/2) use
+        # at their defaults, plus a few others
+        rates = [
+            (Fraction(1, 25), Fraction(1, 100)),
+            (Fraction(1, 4), Fraction(1, 16)),
+            (Fraction(3, 10), Fraction(1, 20)),
+            (Fraction(1, 3), Fraction(1, 7)),
+            (Fraction(0), Fraction(1, 2)),
+            (Fraction(1), Fraction(1, 3)),
+        ]
+        rng = random.Random(7100)
+        for trial in range(30):
+            lists = {
+                e: rng.sample(range(-5, 60), rng.randint(1, 40))
+                for e in range(rng.randint(0, 8))
+            }
+            gamma, xi = rates[trial % len(rates)]
+            seed = rng.randrange(1000)
+            got = reserve_colours(lists, gamma, xi, seed)
+            want = naive_reserve_colours(lists, gamma, xi, seed)
+            if want is None:
+                assert isinstance(got, ColouringFailure)
+            else:
+                assert (got.colours, got.retries_used) == want
+
+    def test_every_draw_failing_matches_reference(self):
+        lists = {e: range(9) for e in range(2)}
+        assert naive_reserve_colours(lists, Fraction(1, 25), Fraction(1, 100), 3) is None
+        out = reserve_colours(lists, Fraction(1, 25), Fraction(1, 100), 3)
+        assert isinstance(out, ColouringFailure)
+
     def test_parameter_domain(self):
         with pytest.raises(ValueError):
             reserve_colours({}, Fraction(3, 2), Fraction(1, 10), 0)
@@ -197,6 +233,10 @@ class TestColourSparseBlock:
 
 def _stage_map(run):
     return {s.stage: s.status for s in run.stages}
+
+
+def _stage_list(run):
+    return [(s.stage, s.status) for s in run.stages]
 
 
 class TestColourStability:
@@ -301,6 +341,56 @@ class TestColourMain:
         run = colour_main(fano, 1, uniform_lists(fano, 6), params)
         assert not run.ok
         assert _stage_map(run)["exact"] == "skipped"
+
+    def test_stages_when_stability_colours(self, fano):
+        params = PipelineParams(r0=2, r1=2)
+        run = colour_main(fano, 1, uniform_lists(fano, 50), params)
+        assert run.ok
+        assert _stage_list(run) == [
+            ("stability:split", "ok"),
+            ("stability:reserve", "ok"),
+            ("stability:lrg-partition", "ok"),
+            ("stability:lrg-W", "ok"),
+            ("stability:lrg-H2", "ok"),
+            ("stability:lrg-H1", "ok"),
+            ("stability:med", "skipped"),
+            ("stability:sml", "skipped"),
+            ("stability:validate", "ok"),
+        ]
+
+    def test_stages_when_main_script_colours(self):
+        h = random_bounded_codegree(
+            GeneratorParams(seed=0, n=8, t=1, size_range=(2, 6), density=16)
+        )
+        run = colour_main(h, 1, uniform_lists(h, 11))
+        assert run.ok
+        assert _stage_list(run) == [
+            ("stability:split", "ok"),
+            ("stability:reserve", "failed"),
+            ("main:split", "ok"),
+            ("main:reserve", "ok"),
+            ("main:partition", "ok"),
+            ("main:H3", "skipped"),
+            ("main:H2", "ok"),
+            ("main:H1", "ok"),
+            ("main:sml", "ok"),
+            ("main:validate", "ok"),
+        ]
+
+    def test_stages_without_medium_or_large_edges(self, triangle):
+        run = colour_main(triangle, 1, {e: [0, 1] for e in range(3)})
+        assert not run.ok
+        assert _stage_list(run) == [
+            ("stability:split", "ok"),
+            ("stability:reserve", "skipped"),
+            ("stability:lrg-partition", "skipped"),
+            ("stability:med", "skipped"),
+            ("stability:sml", "failed"),
+            ("main:split", "ok"),
+            ("main:reserve", "skipped"),
+            ("main:sml", "failed"),
+            ("exact", "failed"),
+        ]
 
     def test_success_validates_on_corpus(self):
         for h, t in make_corpus(10, base_seed=6200, n_range=(5, 12), t_range=(1, 2)):
