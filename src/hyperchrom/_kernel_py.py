@@ -91,18 +91,24 @@ def _try_k(adj: list[int], k: int, deadline: float | None) -> list[int] | None |
     return list(col) if found else None
 
 
-def solve_chromatic(adj: list[int], time_cap_ms: int = 0) -> tuple[int, list[int], bool]:
+def solve_chromatic(
+    adj: list[int], time_cap_ms: int = 0, lower: int = 0
+) -> tuple[int, list[int], bool]:
     """Exact chromatic number of a bitmask-adjacency graph.
 
     Greedy clique lower bound, greedy upper bound, then a downward search
     with saturation-guided branching and first-use colour symmetry breaking.
+    ``lower`` must be a proven lower bound on the chromatic number (the
+    caller's own certificate); the search stops once it reaches
+    max(greedy clique, lower), which skips only the final infeasibility
+    proof and never changes the colouring returned.
     """
     n = len(adj)
     if n == 0:
         return 0, [], True
     deadline = monotonic() + time_cap_ms / 1000.0 if time_cap_ms > 0 else None
     order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
-    lb = _greedy_clique(adj, order)
+    lb = max(_greedy_clique(adj, order), lower)
     best = _greedy_colouring(adj, order)
     ub = max(best) + 1
     if lb >= ub:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 __all__ = [
     "Hypergraph",
@@ -26,12 +26,14 @@ __all__ = [
     "Neighbourhoods",
     "ValidationReport",
     "ColouringFailure",
+    "StarPigeonhole",
     "degree_stats",
     "volume",
     "dual",
     "line_graph",
     "predicates",
     "neighbourhoods",
+    "star_pigeonhole",
     "validate_colouring",
     "restrict_and_induce",
     "subhypergraph",
@@ -184,8 +186,9 @@ class LineGraphView:
     """The line-graph queries of one hypergraph, each computed on first use.
 
     ``Hypergraph.view`` builds one per instance, so repeated queries on the
-    same instance share the work.  ``rows[i]`` is the bitmask of the edges
-    other than ``i`` that meet edge ``i`` (parallel copies included);
+    same instance share the work.  ``incidence[v]`` is the bitmask of the
+    edges through vertex v; ``rows[i]`` is the bitmask of the edges other
+    than ``i`` that meet edge ``i`` (parallel copies included);
     ``closed_masks[v]`` is the bitmask of the closed vertex neighbourhood
     N[v].
     """
@@ -196,12 +199,18 @@ class LineGraphView:
         self._masks = masks
 
     @cached_property
-    def line_graph(self) -> Graph:
-        # an edge meets exactly the edges incident to one of its vertices
+    def incidence(self) -> tuple[int, ...]:
+        """``incidence[v]``: bitmask of the edges through vertex v (its star)."""
         incident = [0] * self._n
         for i, e in enumerate(self._edges):
             for v in e:
                 incident[v] |= 1 << i
+        return tuple(incident)
+
+    @cached_property
+    def line_graph(self) -> Graph:
+        # an edge meets exactly the edges incident to one of its vertices
+        incident = self.incidence
         rows = []
         for i, e in enumerate(self._edges):
             row = 0
@@ -315,6 +324,52 @@ def neighbourhoods(h: Hypergraph) -> Neighbourhoods:
         closed_vertex=tuple(frozenset(mask_bits(cm)) for cm in view.closed_masks),
         edge=tuple(frozenset(mask_bits(row)) for row in view.rows),
     )
+
+
+class StarPigeonhole(NamedTuple):
+    """Certificate that a list assignment admits no proper colouring: the
+    ``edges`` through ``vertex`` pairwise intersect, yet their lists hold
+    only ``colours``, fewer colours than edges."""
+
+    vertex: int
+    edges: tuple[int, ...]
+    colours: frozenset[int]
+
+    @property
+    def detail(self) -> str:
+        return (
+            f"pigeonhole at vertex {self.vertex}: "
+            f"{len(self.edges)} edges, {len(self.colours)} colours"
+        )
+
+
+def star_pigeonhole(
+    h: Hypergraph, lists: Mapping[int, frozenset[int]], block_mask: int
+) -> StarPigeonhole | None:
+    """The first vertex whose star has more edges than colours, or None.
+
+    The edges of the block (the edge ids set in ``block_mask``) through one
+    vertex pairwise intersect, so a proper colouring of the block from
+    ``lists`` gives them distinct colours.  When the union of their lists
+    holds fewer colours than there are edges, no such colouring exists.
+    Returns ``(v, edge ids ascending, union of their lists)`` for the
+    lowest such vertex v.  A star's edges are only listed when it has more
+    edges than the shortest list of the block, and their union only taken
+    when it has more edges than its own largest list, so the check costs
+    O(n + sum |e|) when it cannot fire.
+    """
+    shortest = min((len(lists[e]) for e in mask_bits(block_mask)), default=0)
+    for v, star in enumerate(h.view.incidence):
+        star &= block_mask
+        if star.bit_count() <= shortest:
+            continue
+        edges = mask_bits(star)
+        if len(edges) <= max(len(lists[e]) for e in edges):
+            continue
+        colours = frozenset().union(*(lists[e] for e in edges))
+        if len(colours) < len(edges):
+            return StarPigeonhole(v, tuple(edges), colours)
+    return None
 
 
 def mask_bits(mask: int) -> list[int]:

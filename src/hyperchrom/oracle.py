@@ -12,7 +12,13 @@ from time import monotonic
 from typing import Iterable, Iterator, Mapping
 
 from . import _kernel_py
-from .hypercore import Hypergraph, canonical_form, mask_bits, normalize_lists
+from .hypercore import (
+    Hypergraph,
+    canonical_form,
+    mask_bits,
+    normalize_lists,
+    star_pigeonhole,
+)
 
 __all__ = [
     "OracleBudget",
@@ -45,10 +51,16 @@ class OracleBudget:
 
 @dataclass(frozen=True)
 class BudgetExceeded:
-    """Typed refusal: the oracle never returns a number it has not proved."""
+    """Typed refusal: the oracle never returns a number it has not proved.
+
+    ``lower`` and ``upper`` are the best proven bounds reached before the
+    refusal, when it reached any.
+    """
 
     kind: str  # 'edges' | 'time' | 'colours'
     detail: str = ""
+    lower: int | None = None
+    upper: int | None = None
 
     def __bool__(self) -> bool:
         return False
@@ -66,9 +78,13 @@ def exact_chromatic_index(
 ) -> int | BudgetExceeded:
     """Chromatic index of H, i.e. the chromatic number of its line graph.
 
-    Branch and bound with a greedy clique lower bound, saturation-guided
-    branching and first-use colour symmetry breaking; refuses with a typed
-    BudgetExceeded instead of guessing when a limit is hit.
+    Branch and bound whose lower bound is max(Δ(H), greedy clique): the
+    edges through one vertex form a clique of the line graph, so Δ(H) <= χ'.
+    When that bound meets the greedy colouring no search runs.  Otherwise
+    saturation-guided branching with first-use colour symmetry breaking
+    closes the gap.  Refuses with a typed BudgetExceeded instead of
+    guessing when a limit is hit; a time refusal carries Δ(H) as ``lower``
+    and the colours of its best colouring as ``upper``.
     """
     budget = budget or OracleBudget()
     if h.m > budget.max_edges:
@@ -76,9 +92,12 @@ def exact_chromatic_index(
     if h.m == 0:
         return 0
     adj = list(h.view.rows)
-    chi, _col, completed = _kernel_py.solve_chromatic(adj, budget.time_cap_ms)
+    delta = h.view.degree_stats.max_degree
+    chi, _col, completed = _kernel_py.solve_chromatic(adj, budget.time_cap_ms, lower=delta)
     if not completed:
-        return BudgetExceeded("time", f"best upper bound so far: {chi}")
+        return BudgetExceeded(
+            "time", f"best upper bound so far: {chi}", lower=delta, upper=chi
+        )
     if chi > budget.max_colours:
         return BudgetExceeded("colours", f"needs {chi} colours")
     return chi
@@ -91,10 +110,12 @@ def exact_list_colourable(
 ) -> ListColourResult:
     """Decide list colourability by backtracking over edges.
 
-    Edges are processed by ascending list size (ties by id); after each
-    assignment every uncoloured intersecting edge must keep a feasible
-    colour, otherwise the branch dies immediately.  A 'yes' carries a
-    witness colouring.
+    A vertex whose edges outnumber the union of their lists
+    (``star_pigeonhole``) settles 'no' before any search, and the detail
+    names that vertex.  Otherwise edges are processed by ascending list
+    size (ties by id); after each assignment every uncoloured intersecting
+    edge must keep a feasible colour, otherwise the branch dies
+    immediately.  A 'yes' carries a witness colouring.
     """
     budget = budget or OracleBudget()
     if h.m > budget.max_edges:
@@ -102,6 +123,9 @@ def exact_list_colourable(
     allowed = normalize_lists(h, lists)
     if h.m == 0:
         return ListColourResult("yes", witness={})
+    star = star_pigeonhole(h, allowed, (1 << h.m) - 1)
+    if star is not None:
+        return ListColourResult("no", detail=star.detail)
     order = sorted(range(h.m), key=lambda i: (len(allowed[i]), i))
     nbrs = [mask_bits(row) for row in h.view.rows]
     col: dict[int, int] = {}

@@ -27,6 +27,7 @@ from .hypercore import (
     Hypergraph,
     degree_stats,
     normalize_lists,
+    star_pigeonhole,
     subhypergraph,
     validate_colouring,
 )
@@ -197,6 +198,9 @@ def colour_small(
     Several seeded random-order greedy passes with random colour picks,
     then one deterministic pass by descending line-graph degree.  Stands in
     for the semi-random nibble, which has nothing to say at this scale.
+    Before any pass, a vertex whose block edges outnumber the colours left
+    to them (``star_pigeonhole``) ends the call: its failure names the
+    vertex and the lowest edge id of its star.
     """
     ids = list(edge_ids)
     forbidden = forbidden or {}
@@ -208,6 +212,10 @@ def colour_small(
             return ColouringFailure(
                 "small", stuck_edge=e, detail="list emptied by forbidden colours"
             )
+    rows, block = h.view.rows, sum(1 << e for e in allowed)
+    star = star_pigeonhole(h, allowed, block)
+    if star is not None:
+        return ColouringFailure("small", stuck_edge=star.edges[0], detail=star.detail)
     for attempt in range(attempts):
         rng = random.Random((seed * 1_000_003 + attempt) & _MASK64)
         order = ids[:]
@@ -215,7 +223,6 @@ def colour_small(
         col: dict[int, int] = {}
         if greedy_extend(h, order, allowed, col, lambda opts: rng.choice(sorted(opts))) is None:
             return col
-    rows, block = h.view.rows, sum(1 << e for e in allowed)
     col = {}
     stuck = greedy_extend(
         h, sorted(ids, key=lambda e: (-(rows[e] & block).bit_count(), e)), allowed, col

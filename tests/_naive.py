@@ -215,3 +215,14 @@ def naive_reserve_colours(lists, gamma, xi, seed: int):
         ):
             return reserved, attempt
     return None
+
+
+def naive_overfull_star(h: Hypergraph, lists, ids):
+    """First vertex whose edges among ``ids`` outnumber the union of their
+    lists, as (vertex, edge ids, colours), or None."""
+    for v in range(h.n):
+        star = [e for e in ids if v in h.edges[e]]
+        colours = set().union(*(lists[e] for e in star))
+        if len(colours) < len(star):
+            return v, star, colours
+    return None

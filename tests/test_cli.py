@@ -232,6 +232,19 @@ class TestExact:
         assert rep["outcome"] == "budget"
         assert rep["certificates"]["type"] == "BudgetExceeded"
 
+    def test_time_refusal_reports_bounds(self, tmp_path, capsys, monkeypatch, fano):
+        from hyperchrom import _kernel_py
+
+        monkeypatch.setattr(
+            _kernel_py, "solve_chromatic", lambda adj, cap, lower=0: (8, [0] * len(adj), False)
+        )
+        path = _write(tmp_path, "fano.hg", fano)
+        assert main(["exact", "--in", path, "--time-cap-ms", "50"]) == 1
+        rep = _report(capsys)
+        assert rep["outcome"] == "budget"
+        cert = rep["certificates"]
+        assert (cert["kind"], cert["lower"], cert["upper"]) == ("time", 3, 8)
+
 
 class TestClassify:
     def test_near_pencil(self, tmp_path, capsys):

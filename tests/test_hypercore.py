@@ -20,10 +20,13 @@ from hyperchrom import (
     validate_colouring,
     volume,
 )
+from hyperchrom.hypercore import star_pigeonhole
 from tests._naive import (
     _edge_adj,
     naive_closed_nbhd,
     naive_degree,
+    naive_list_colouring,
+    naive_overfull_star,
     naive_predicates,
     naive_volume,
 )
@@ -209,6 +212,11 @@ class TestLineGraphView:
                 assert rows[i] == sum(1 << j for j in nbrs)
             assert line_graph(h).adj == rows
 
+    def test_incidence_matches_naive(self):
+        for h in _view_cases():
+            for v, star in enumerate(h.view.incidence):
+                assert star == sum(1 << i for i, e in enumerate(h.edges) if v in e)
+
     def test_closed_masks_match_naive(self):
         for h in _view_cases():
             for v in range(h.n):
@@ -242,6 +250,40 @@ class TestLineGraphView:
         stats = degree_stats(Hypergraph(3, [(0, 1)]))
         with pytest.raises(TypeError):
             stats.codegree[(0, 1)] = 5
+
+
+class TestStarPigeonhole:
+    def test_first_overfull_star_and_naive_finds_no_colouring(self):
+        import random
+
+        rng = random.Random(5150)
+        fired = 0
+        for h, _t in make_corpus(30, base_seed=5100, n_range=(3, 7), t_range=(1, 2)):
+            if h.m > 8:
+                continue
+            for _ in range(4):
+                lists = {
+                    e: frozenset(rng.sample(range(5), rng.randint(1, 3)))
+                    for e in range(h.m)
+                }
+                ids = [e for e in range(h.m) if rng.random() < 0.8]
+                expected = naive_overfull_star(h, lists, ids)
+                star = star_pigeonhole(h, lists, sum(1 << e for e in ids))
+                if expected is None:
+                    assert star is None
+                    continue
+                fired += 1
+                assert (star.vertex, list(star.edges), set(star.colours)) == expected
+                sub, _ = subhypergraph(h, ids)
+                assert naive_list_colouring(sub, [lists[e] for e in ids]) is None
+        assert fired >= 10
+
+    def test_lowest_vertex_named(self):
+        # stars at 0 (3 edges) and at 4 (3 edges), two colours each
+        h = Hypergraph(7, [(0, 1), (0, 2), (0, 3), (4, 5), (4, 6), (3, 4)])
+        star = star_pigeonhole(h, uniform_lists(h, 2), (1 << h.m) - 1)
+        assert star.vertex == 0 and star.edges == (0, 1, 2)
+        assert star.detail == "pigeonhole at vertex 0: 3 edges, 2 colours"
 
 
 class TestValidateColouring:

@@ -15,6 +15,7 @@ from hyperchrom import (
     exact_list_colourable,
     kernel_name,
     maximal_complement_matching,
+    near_pencil,
     random_bounded_codegree,
     t_fold,
     validate_colouring,
@@ -23,7 +24,10 @@ from hyperchrom import _kernel_py
 from hyperchrom.hypercore import canonical_form
 
 from tests._naive import (
+    _edge_adj,
     naive_chromatic_index,
+    naive_degree,
+    naive_greedy_colour,
     naive_list_colouring,
     naive_max_complement_matching_size,
     naive_validate,
@@ -58,6 +62,32 @@ class TestExactChromaticIndex:
         assert out.kind == "edges"
         assert not out
 
+    def test_delta_tight_instances_answered_without_search(self):
+        # Delta(H) equals the greedy colour count, so no search is needed
+        for seed in (0, 4):
+            h = _hard_instance(seed)
+            delta = max(naive_degree(h, v) for v in range(h.n))
+            budget = OracleBudget(max_edges=40, time_cap_ms=1000)
+            assert exact_chromatic_index(h, budget) == delta
+            assert delta == _naive_greedy_count(h)
+
+    def test_time_refusal_carries_bounds(self, monkeypatch, fano):
+        monkeypatch.setattr(
+            _kernel_py,
+            "solve_chromatic",
+            lambda adj, cap, lower=0: (9, [0] * len(adj), False),
+        )
+        out = exact_chromatic_index(fano)
+        assert isinstance(out, BudgetExceeded)
+        assert out.kind == "time"
+        assert out.detail == "best upper bound so far: 9"
+        assert out.lower == max(naive_degree(fano, v) for v in range(fano.n))
+        assert out.upper == 9
+
+    def test_edge_refusal_has_no_bounds(self, fano):
+        out = exact_chromatic_index(fano, OracleBudget(max_edges=3))
+        assert (out.lower, out.upper) == (None, None)
+
     def test_budget_validation(self):
         with pytest.raises(ValueError):
             OracleBudget(max_edges=0)
@@ -88,6 +118,35 @@ class TestKernel:
         assert naive_validate(h, dict(enumerate(col)))
         assert chi == max(col) + 1
 
+    def test_lower_bound_at_greedy_skips_search(self, monkeypatch):
+        h = _hard_instance(0)
+        adj = [sum(1 << j for j in nbrs) for nbrs in _edge_adj(h)]
+        ub = _naive_greedy_count(h)
+
+        def no_search(*args):
+            raise AssertionError("the kernel searched")
+
+        monkeypatch.setattr(_kernel_py, "_try_k", no_search)
+        chi, col, completed = _kernel_py.solve_chromatic(adj, 1000, lower=ub)
+        assert (chi, completed) == (ub, True)
+        assert naive_validate(h, dict(enumerate(col)))
+        assert max(col) + 1 == ub
+
+
+def _hard_instance(seed):
+    return random_bounded_codegree(
+        GeneratorParams(seed=seed, n=14, t=2, size_range=(2, 4), density=40)
+    )
+
+
+def _naive_greedy_count(h):
+    """Colours of smallest-free-colour greedy, busiest edges first."""
+    adj = _edge_adj(h)
+    order = sorted(range(h.m), key=lambda e: (-len(adj[e]), e))
+    col, stuck = naive_greedy_colour(h, order, {e: range(h.m) for e in range(h.m)})
+    assert stuck is None
+    return len(set(col.values()))
+
 
 class TestExactListColourable:
     def test_fano_seven_uniform_yes(self, fano):
@@ -101,6 +160,17 @@ class TestExactListColourable:
         res = exact_list_colourable(fano, {e: range(6) for e in range(7)})
         assert res.status == "no"
         assert res.witness is None
+
+    def test_two_fold_near_pencil_pigeonhole_no(self):
+        h = t_fold(near_pencil(6), 2)
+        lists = {e: range(9) for e in range(h.m)}
+        res = exact_list_colourable(h, lists)
+        assert res.status == "no"
+        v = int(res.detail.split("vertex ")[1].split(":")[0])
+        star = [e for e, verts in enumerate(h.edges) if v in verts]
+        colours = set().union(*(lists[e] for e in star))
+        assert (len(star), len(colours)) == (10, 9)
+        assert res.detail == f"pigeonhole at vertex {v}: 10 edges, 9 colours"
 
     def test_disjoint_edges_with_singleton_lists(self):
         h = Hypergraph(4, [(0, 1), (2, 3)])

@@ -23,6 +23,7 @@ from hyperchrom import (
     uniform_lists,
     validate_colouring,
 )
+from hyperchrom import pipeline
 from hyperchrom.oracle import exact_list_colourable
 
 from tests._naive import naive_reserve_colours
@@ -187,6 +188,22 @@ class TestColourSmall:
         assert isinstance(out, ColouringFailure)
         assert out.stuck_edge == 1
         assert "forbidden" in out.detail
+
+    def test_pigeonhole_star_fails_before_any_sweep(self, monkeypatch):
+        # k + 1 edges through vertex 0, every list the same k colours
+        k = 4
+        h = Hypergraph(k + 3, [(0, i) for i in range(1, k + 2)] + [(k + 2, 1)])
+        star = [e for e, verts in enumerate(h.edges) if 0 in verts]
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("colour_small swept a pigeonhole block")
+
+        monkeypatch.setattr(pipeline, "greedy_extend", no_sweep)
+        out = colour_small(h, range(h.m), uniform_lists(h, k))
+        assert isinstance(out, ColouringFailure)
+        assert out.stage == "small"
+        assert "pigeonhole" in out.detail
+        assert out.stuck_edge in star
 
     def test_deterministic_per_seed(self, fano):
         lists = uniform_lists(fano, 7)
