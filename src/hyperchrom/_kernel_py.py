@@ -1,18 +1,27 @@
-"""Chromatic-number kernel behind ``oracle.exact_chromatic_index``.
+"""The one exact colouring search, behind both oracles.
 
-Works on bitmask adjacency rows and returns ``(chi, colouring, completed)``
-where ``completed`` is False only when the wall-clock time cap interrupted
-the proof (the returned value is then the best upper bound found, with its
-colouring).
+``_search`` colours a graph given as bitmask adjacency rows, each vertex from
+its own bitmask list.  ``solve_chromatic`` (``oracle.exact_chromatic_index``)
+runs it with the lists {0..k-1} and first-use symmetry breaking;
+``list_colour`` (``oracle.exact_list_colourable``) runs it with the caller's
+lists and no symmetry breaking.  Both return a ``completed`` flag that is
+False only when the wall-clock time cap interrupted the search; the cap is
+polled every ``_POLL`` search nodes.
 """
 
 from __future__ import annotations
 
 from time import monotonic
 
+_POLL = 4096
+
 
 class _Timeout(Exception):
     pass
+
+
+def _deadline(time_cap_ms: int) -> float | None:
+    return monotonic() + time_cap_ms / 1000.0 if time_cap_ms > 0 else None
 
 
 def _greedy_clique(adj: list[int], order: list[int]) -> int:
@@ -42,53 +51,61 @@ def _greedy_colouring(adj: list[int], order: list[int]) -> list[int]:
     return col
 
 
-def _try_k(adj: list[int], k: int, deadline: float | None) -> list[int] | None | str:
-    """Search for a proper k-colouring; 'timeout' when the cap fires."""
+def _search(
+    adj: list[int], lists: list[int], deadline: float | None, first_use: bool
+) -> list[int] | None:
+    """A proper colouring with vertex v coloured from bitmask ``lists[v]``.
+
+    Depth-first search that branches on the uncoloured vertex with the
+    fewest colours left (ties: higher degree, then lower id) and tries its
+    colours in ascending order.  With ``first_use`` a vertex takes no
+    colour above one more than the highest colour used so far, which
+    breaks the symmetry of interchangeable lists {0..k-1}.  None when no
+    colouring exists; raises ``_Timeout`` once ``deadline`` has passed.
+    """
     n = len(adj)
     col = [-1] * n
-    sat = [0] * n  # bitmask of neighbour colours per uncoloured vertex
-    state = {"nodes": 0}
+    free = list(lists)  # colours still open to each uncoloured vertex
+    deg = [a.bit_count() for a in adj]
+    nodes = 0
 
-    def dfs(depth: int, maxused: int) -> bool:
-        state["nodes"] += 1
-        if deadline is not None and state["nodes"] % 4096 == 0 and monotonic() > deadline:
+    def dfs(depth: int, opened: int) -> bool:
+        nonlocal nodes
+        nodes += 1
+        if deadline is not None and nodes % _POLL == 0 and monotonic() > deadline:
             raise _Timeout
         if depth == n:
             return True
-        best_v = -1
-        best_key = (-1, -1, 0)
-        for v in range(n):
-            if col[v] < 0:
-                key = (sat[v].bit_count(), adj[v].bit_count(), -v)
-                if key > best_key:
+        v = -1
+        best_key = None
+        for u in range(n):
+            if col[u] < 0:
+                key = (-free[u].bit_count(), deg[u], -u)
+                if best_key is None or key > best_key:
                     best_key = key
-                    best_v = v
-        v = best_v
-        limit = maxused + 1 if maxused + 1 < k else k
-        for c in range(limit):
-            if not sat[v] >> c & 1:
-                col[v] = c
-                touched = []
-                a = adj[v]
-                bit = 1 << c
-                while a:
-                    w = (a & -a).bit_length() - 1
-                    a &= a - 1
-                    if col[w] < 0 and not sat[w] & bit:
-                        sat[w] |= bit
-                        touched.append(w)
-                if dfs(depth + 1, maxused if c < maxused else c + 1):
-                    return True
-                col[v] = -1
-                for w in touched:
-                    sat[w] &= ~bit
+                    v = u
+        opts = free[v] & ((2 << opened) - 1) if first_use else free[v]
+        while opts:
+            bit = opts & -opts
+            opts ^= bit
+            c = bit.bit_length() - 1
+            col[v] = c
+            touched = []
+            a = adj[v]
+            while a:
+                w = (a & -a).bit_length() - 1
+                a &= a - 1
+                if col[w] < 0 and free[w] & bit:
+                    free[w] ^= bit
+                    touched.append(w)
+            if dfs(depth + 1, opened if c < opened else c + 1):
+                return True
+            col[v] = -1
+            for w in touched:
+                free[w] |= bit
         return False
 
-    try:
-        found = dfs(0, 0)
-    except _Timeout:
-        return "timeout"
-    return list(col) if found else None
+    return list(col) if dfs(0, 0) else None
 
 
 def solve_chromatic(
@@ -96,30 +113,42 @@ def solve_chromatic(
 ) -> tuple[int, list[int], bool]:
     """Exact chromatic number of a bitmask-adjacency graph.
 
-    Greedy clique lower bound, greedy upper bound, then a downward search
-    with saturation-guided branching and first-use colour symmetry breaking.
-    ``lower`` must be a proven lower bound on the chromatic number (the
-    caller's own certificate); the search stops once it reaches
-    max(greedy clique, lower), which skips only the final infeasibility
-    proof and never changes the colouring returned.
+    Greedy clique lower bound, greedy upper bound, then ``_search`` for a
+    colouring from {0..k-1} with first-use symmetry breaking, for k one
+    below the best colouring so far, until it fails.  ``lower`` must be a
+    proven lower bound on the chromatic number (the caller's own
+    certificate); the search stops once it reaches max(greedy clique,
+    lower), which skips only the final infeasibility proof and never
+    changes the colouring returned.  A time cap (0: none) that fires
+    returns the best colouring found, with ``completed`` False.
     """
     n = len(adj)
     if n == 0:
         return 0, [], True
-    deadline = monotonic() + time_cap_ms / 1000.0 if time_cap_ms > 0 else None
+    deadline = _deadline(time_cap_ms)
     order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
     lb = max(_greedy_clique(adj, order), lower)
     best = _greedy_colouring(adj, order)
-    ub = max(best) + 1
-    if lb >= ub:
-        return ub, best, True
-    k = ub - 1
+    k = max(best)
     while k >= lb:
-        res = _try_k(adj, k, deadline)
-        if res == "timeout":
+        try:
+            res = _search(adj, [(1 << k) - 1] * n, deadline, first_use=True)
+        except _Timeout:
             return max(best) + 1, best, False
         if res is None:
             break
         best = res
         k = max(best)  # one below the colours actually used
     return max(best) + 1, best, True
+
+
+def list_colour(
+    adj: list[int], lists: list[int], time_cap_ms: int = 0
+) -> tuple[list[int] | None, bool]:
+    """``(colouring, completed)``: a colouring from the bitmask lists, or
+    None when none exists; ``completed`` is False (colouring None) when
+    the time cap (0: none) fired first."""
+    try:
+        return _search(adj, lists, _deadline(time_cap_ms), first_use=False), True
+    except _Timeout:
+        return None, False

@@ -4,7 +4,9 @@ When e(H) is close to t*n, proper colourings from tn-sized lists hinge on
 finding a few disjoint edge pairs that can share a colour (a *complement
 matching*), or a small family of pairwise-intersecting edges whose designated
 pairs have small common neighbourhoods (a *useful family*), which manufactures
-such a matching.  This module builds both and colours from them.
+such a matching.  This module builds both; ``colour_extremal`` colours from
+the maximum complement matching, which is never smaller than the one a
+useful family yields.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Iterable, Mapping
 
-from . import _matching
+from . import _matching, oracle
 from .exactarith import as_fraction, cmp_to_scaled_sqrt, at_least_scaled_sqrt
 from .hypercore import (
     ColouringFailure,
@@ -94,7 +96,6 @@ class ExtremalReport:
     attempts: tuple[str, ...]
     size_premise_ok: bool
     matching_size: int | None = None
-    family_found: bool = False
 
 
 def is_t_useful(h: Hypergraph, t: int, e: int, f: int) -> bool:
@@ -545,26 +546,26 @@ def colour_extremal(
     h: Hypergraph,
     t: int,
     lists: Mapping[int, Iterable[int]],
-    alpha=Fraction(1, 4),
     delta=Fraction(1, 10),
     exact_budget: int = 12,
 ) -> tuple[dict[int, int] | ColouringFailure, ExtremalReport]:
     """Fallback ladder for the extremal regime e(H) ≈ t*n.
 
     Tries, in order: an all-distinct colouring when e(H) < t*n; the same (or
-    a single disjoint pair) at e(H) = t*n; a useful-family cover when
-    e(H) > t*n; a maximum complement matching; and finally exhaustive search
-    when e(H) fits the budget.  The per-edge size premise
-    |V(e)| >= (1-delta)*sqrt(n) is reported, not enforced.
+    a single disjoint pair) at e(H) = t*n; a maximum complement matching;
+    and finally exhaustive search when e(H) fits the budget.  There is no
+    useful-family rung for e(H) > t*n: ``find_useful_family`` returns a
+    family only when the maximum complement matching has at most
+    r = e(H) - t*n pairs, and ``useful_cover_colour`` would build r+1
+    disjoint pairs from it, so it never finds one.  The per-edge size
+    premise |V(e)| >= (1-delta)*sqrt(n) is reported, not enforced.
     """
-    alpha = as_fraction(alpha)
     delta = as_fraction(delta)
     allowed = normalize_lists(h, lists)
     attempts: list[str] = []
     tn = t * h.n
     size_ok = all(at_least_scaled_sqrt(len(e), 1 - delta, h.n) for e in h.edges)
     matching_size: int | None = None
-    family_found = False
 
     def report(rung: str | None) -> ExtremalReport:
         return ExtremalReport(
@@ -572,7 +573,6 @@ def colour_extremal(
             attempts=tuple(attempts),
             size_premise_ok=size_ok,
             matching_size=matching_size,
-            family_found=family_found,
         )
 
     if h.m == 0:
@@ -610,20 +610,6 @@ def colour_extremal(
             if isinstance(out, dict):
                 return out, report("2: all-distinct (e = t*n, intersecting)")
             attempts.append(f"rung 2 stuck at edge {out.stuck_edge}")
-    else:
-        trace: list[str] = []
-        fam = find_useful_family(h, t, alpha, delta, trace=trace)
-        attempts.extend(f"family search: {s}" for s in trace)
-        if fam is not None:
-            family_found = True
-            try:
-                out = useful_cover_colour(h, t, fam, allowed)
-            except ValueError as exc:
-                attempts.append(f"rung 3 precondition: {exc}")
-            else:
-                if isinstance(out, dict):
-                    return out, report("3: useful family cover")
-                attempts.append(f"rung 3 failed: {out.detail}")
 
     cm = maximal_complement_matching(h, strategy="maximum")
     matching_size = cm.size
@@ -636,8 +622,6 @@ def colour_extremal(
         attempts.append("rung 4 lists smaller than e(H) - |matching|")
 
     if h.m <= exact_budget:
-        from . import oracle  # local import; oracle depends on this module
-
         res = oracle.exact_list_colourable(
             h, allowed, oracle.OracleBudget(max_edges=exact_budget)
         )

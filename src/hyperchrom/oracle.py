@@ -1,21 +1,20 @@
 """Exact reference algorithms: chromatic index, list colourability and
 exhaustive small-instance enumeration.
 
-The chromatic-index search runs on the line graph's bitmask rows in
-``_kernel_py``; its time cap counts wall-clock time.
+Both oracles check their certificates here and leave the search to the one
+search in ``_kernel_py``, on the line graph's bitmask rows; it alone polls
+the time cap, which counts wall-clock time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import monotonic
 from typing import Iterable, Iterator, Mapping
 
 from . import _kernel_py
 from .hypercore import (
     Hypergraph,
     canonical_form,
-    mask_bits,
     normalize_lists,
     star_pigeonhole,
 )
@@ -41,11 +40,10 @@ class OracleBudget:
     """Resource limits for the exact routines."""
 
     max_edges: int = 24
-    max_colours: int = 2**31 - 1
     time_cap_ms: int = 60_000
 
     def __post_init__(self):
-        if self.max_edges < 1 or self.max_colours < 1 or self.time_cap_ms < 1:
+        if self.max_edges < 1 or self.time_cap_ms < 1:
             raise ValueError("budget fields must be positive")
 
 
@@ -57,7 +55,7 @@ class BudgetExceeded:
     refusal, when it reached any.
     """
 
-    kind: str  # 'edges' | 'time' | 'colours'
+    kind: str  # 'edges' | 'time'
     detail: str = ""
     lower: int | None = None
     upper: int | None = None
@@ -81,10 +79,11 @@ def exact_chromatic_index(
     Branch and bound whose lower bound is max(Δ(H), greedy clique): the
     edges through one vertex form a clique of the line graph, so Δ(H) <= χ'.
     When that bound meets the greedy colouring no search runs.  Otherwise
-    saturation-guided branching with first-use colour symmetry breaking
-    closes the gap.  Refuses with a typed BudgetExceeded instead of
-    guessing when a limit is hit; a time refusal carries Δ(H) as ``lower``
-    and the colours of its best colouring as ``upper``.
+    ``_kernel_py.solve_chromatic`` closes the gap with the kernel's one
+    search, here with first-use colour symmetry breaking.  Refuses with a
+    typed BudgetExceeded instead of guessing when a limit is hit; a time
+    refusal carries Δ(H) as ``lower`` and the colours of its best colouring
+    as ``upper``.
     """
     budget = budget or OracleBudget()
     if h.m > budget.max_edges:
@@ -98,8 +97,6 @@ def exact_chromatic_index(
         return BudgetExceeded(
             "time", f"best upper bound so far: {chi}", lower=delta, upper=chi
         )
-    if chi > budget.max_colours:
-        return BudgetExceeded("colours", f"needs {chi} colours")
     return chi
 
 
@@ -108,14 +105,15 @@ def exact_list_colourable(
     lists: Mapping[int, Iterable[int]],
     budget: OracleBudget | None = None,
 ) -> ListColourResult:
-    """Decide list colourability by backtracking over edges.
+    """Decide list colourability exactly.
 
     A vertex whose edges outnumber the union of their lists
     (``star_pigeonhole``) settles 'no' before any search, and the detail
-    names that vertex.  Otherwise edges are processed by ascending list
-    size (ties by id); after each assignment every uncoloured intersecting
-    edge must keep a feasible colour, otherwise the branch dies
-    immediately.  A 'yes' carries a witness colouring.
+    names that vertex.  Otherwise the colours, which may be any integers,
+    are numbered by bit position and ``_kernel_py.list_colour`` searches
+    the line graph: it branches on the edge with the fewest colours left.
+    A 'yes' carries a witness colouring in the original colours; a time
+    cap hit is refused as 'budget'.
     """
     budget = budget or OracleBudget()
     if h.m > budget.max_edges:
@@ -126,40 +124,15 @@ def exact_list_colourable(
     star = star_pigeonhole(h, allowed, (1 << h.m) - 1)
     if star is not None:
         return ListColourResult("no", detail=star.detail)
-    order = sorted(range(h.m), key=lambda i: (len(allowed[i]), i))
-    nbrs = [mask_bits(row) for row in h.view.rows]
-    col: dict[int, int] = {}
-    deadline = monotonic() + budget.time_cap_ms / 1000.0
-    state = {"nodes": 0, "timeout": False}
-
-    def feasible(e: int) -> frozenset[int]:
-        taken = {col[f] for f in nbrs[e] if f in col}
-        return allowed[e] - taken
-
-    def dfs(i: int) -> bool:
-        state["nodes"] += 1
-        if state["nodes"] % 2048 == 0 and monotonic() > deadline:
-            state["timeout"] = True
-            return False
-        if i == h.m:
-            return True
-        e = order[i]
-        for c in sorted(feasible(e)):
-            col[e] = c
-            if all(f in col or feasible(f) for f in nbrs[e]):
-                if dfs(i + 1):
-                    return True
-                if state["timeout"]:
-                    return False
-            del col[e]
-        return False
-
-    ok = dfs(0)
-    if state["timeout"]:
+    colours = sorted(frozenset().union(*allowed.values()))
+    bit = {c: i for i, c in enumerate(colours)}
+    masks = [sum(1 << bit[c] for c in allowed[e]) for e in range(h.m)]
+    col, completed = _kernel_py.list_colour(list(h.view.rows), masks, budget.time_cap_ms)
+    if not completed:
         return ListColourResult("budget", detail="time cap hit")
-    if ok:
-        return ListColourResult("yes", witness=dict(col))
-    return ListColourResult("no")
+    if col is None:
+        return ListColourResult("no")
+    return ListColourResult("yes", witness={e: colours[c] for e, c in enumerate(col)})
 
 
 def enumerate_hypergraphs(

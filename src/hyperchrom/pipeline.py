@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
+from . import oracle
 from .exactarith import as_fraction, cmp_to_scaled_sqrt
 from .extremal import colour_extremal
 from .hypercore import (
@@ -48,6 +49,7 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+_SMALL_PASSES = 8  # seeded random greedy passes in colour_small
 
 
 @dataclass(frozen=True)
@@ -191,16 +193,15 @@ def colour_small(
     forbidden: Mapping[int, Iterable[int]] | None = None,
     *,
     seed: int = 0,
-    attempts: int = 8,
 ) -> dict[int, int] | ColouringFailure:
     """Colour a block of (typically small) edges from lists minus forbidden.
 
-    Several seeded random-order greedy passes with random colour picks,
-    then one deterministic pass by descending line-graph degree.  Stands in
-    for the semi-random nibble, which has nothing to say at this scale.
-    Before any pass, a vertex whose block edges outnumber the colours left
-    to them (``star_pigeonhole``) ends the call: its failure names the
-    vertex and the lowest edge id of its star.
+    ``_SMALL_PASSES`` seeded random-order greedy passes with random colour
+    picks, then one deterministic pass by descending line-graph degree.
+    Stands in for the semi-random nibble, which has nothing to say at this
+    scale.  Before any pass, a vertex whose block edges outnumber the
+    colours left to them (``star_pigeonhole``) ends the call: its failure
+    names the vertex and the lowest edge id of its star.
     """
     ids = list(edge_ids)
     forbidden = forbidden or {}
@@ -216,7 +217,7 @@ def colour_small(
     star = star_pigeonhole(h, allowed, block)
     if star is not None:
         return ColouringFailure("small", stuck_edge=star.edges[0], detail=star.detail)
-    for attempt in range(attempts):
+    for attempt in range(_SMALL_PASSES):
         rng = random.Random((seed * 1_000_003 + attempt) & _MASK64)
         order = ids[:]
         rng.shuffle(order)
@@ -232,7 +233,7 @@ def colour_small(
     return ColouringFailure(
         "small",
         stuck_edge=stuck,
-        detail=f"greedy stuck after {attempts} randomized passes",
+        detail=f"greedy stuck after {_SMALL_PASSES} randomized passes",
     )
 
 
@@ -525,8 +526,6 @@ def colour_main(
         return PipelineRun(outcome, tuple(stages))
 
     if h.m <= params.exact_budget:
-        from . import oracle
-
         res = oracle.exact_list_colourable(
             h, allowed, oracle.OracleBudget(max_edges=max(h.m, 1))
         )

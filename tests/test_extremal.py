@@ -18,7 +18,9 @@ from hyperchrom import (
     useful_cover_colour,
     validate_colouring,
 )
+from hyperchrom import extremal
 
+from tests._naive import naive_max_complement_matching_size, naive_validate
 from tests.conftest import make_corpus
 
 
@@ -89,7 +91,7 @@ class TestColourFromMatching:
         lists = {e: [0, 1, 2] for e in range(6)}
         col = colour_from_matching(k4, cm, lists)
         assert isinstance(col, dict)
-        validate_colouring(k4, col, lists=lists)
+        assert validate_colouring(k4, col, lists=lists).valid
         assert len(set(col.values())) == 3
         for a, b in cm.pairs:
             assert col[a] == col[b]
@@ -120,7 +122,7 @@ class TestColourFromMatching:
             lists = uniform_lists(h, k)
             col = colour_from_matching(h, cm, lists)
             assert isinstance(col, dict)
-            validate_colouring(h, col, lists=lists)
+            assert validate_colouring(h, col, lists=lists).valid
             assert len(set(col.values())) <= k
 
 
@@ -137,7 +139,7 @@ class TestUsefulCoverColour:
         lists = uniform_lists(h, 5)
         col = useful_cover_colour(h, 1, fam, lists)
         assert isinstance(col, dict)
-        validate_colouring(h, col, lists=lists)
+        assert validate_colouring(h, col, lists=lists).valid
         # r = 0, so one pair is manufactured and e(H) - 1 colours suffice
         assert len(set(col.values())) <= 4
         assert col[2] == col[3]  # edge 3 misses edge 2; they share a class
@@ -208,6 +210,23 @@ class TestFindUsefulFamily:
         with pytest.raises(ValueError):
             find_useful_family(fano, 0)
 
+    def test_never_found_at_or_above_tn(self, fano, k4):
+        # a family would give r+1 disjoint pairs, more than the maximum
+        # complement matching that lets the search open
+        extra = [
+            (Hypergraph(7, list(fano.edges) + [(1, 2, 3)]), 1),
+            (t_fold(fano, 2), 2),
+            (k4, 1),
+            (near_pencil(6), 1),
+        ]
+        corpus = make_corpus(40, base_seed=6000, n_range=(4, 10), t_range=(1, 2))
+        checked = 0
+        for h, t in extra + corpus:
+            if h.m >= t * h.n:
+                assert find_useful_family(h, t) is None
+                checked += 1
+        assert checked >= 15
+
     def test_returned_families_certify_on_corpus(self):
         for h, t in make_corpus(12, base_seed=5300, n_range=(4, 10)):
             fam = find_useful_family(h, t)
@@ -223,7 +242,7 @@ class TestColourExtremal:
         lists = uniform_lists(fano, 7)
         col, report = colour_extremal(fano, 1, lists)
         assert isinstance(col, dict)
-        validate_colouring(fano, col, lists=lists)
+        assert validate_colouring(fano, col, lists=lists).valid
         assert len(set(col.values())) == 7
         assert report.rung == "2: all-distinct (e = t*n, intersecting)"
 
@@ -239,10 +258,24 @@ class TestColourExtremal:
         lists = uniform_lists(k4, 4)
         col, report = colour_extremal(k4, 1, lists)
         assert isinstance(col, dict)
-        validate_colouring(k4, col, lists=lists)
+        assert validate_colouring(k4, col, lists=lists).valid
         assert len(set(col.values())) <= 3
         assert report.rung == "4: maximum complement matching"
         assert report.matching_size == 3
+
+    def test_above_tn_colours_without_family_search(self, monkeypatch, fano, k4):
+        def no_search(*args, **kwargs):
+            raise AssertionError("the family search ran")
+
+        monkeypatch.setattr(extremal, "find_useful_family", no_search)
+        for h in (Hypergraph(7, list(fano.edges) + [(1, 2, 3)]), k4):
+            assert h.m > h.n  # e(H) > t*n at t = 1
+            lists = uniform_lists(h, h.n)
+            col, report = colour_extremal(h, 1, lists)
+            assert isinstance(col, dict)
+            assert naive_validate(h, col, lists)
+            assert report.rung == "4: maximum complement matching"
+            assert report.matching_size == naive_max_complement_matching_size(h)
 
     def test_two_disjoint_edges_share(self):
         h = Hypergraph(4, [(0, 1), (2, 3)])
@@ -280,6 +313,6 @@ class TestColourExtremal:
             lists = uniform_lists(h, max(1, t * h.n))
             col, report = colour_extremal(h, t, lists)
             if isinstance(col, dict):
-                validate_colouring(h, col, lists=lists)
+                assert validate_colouring(h, col, lists=lists).valid
             else:
                 assert report.rung is None

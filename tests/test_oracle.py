@@ -2,6 +2,7 @@
 matchings and the small-instance enumerator."""
 
 import itertools
+import time
 
 import pytest
 
@@ -9,6 +10,7 @@ from hyperchrom import (
     BudgetExceeded,
     GeneratorParams,
     Hypergraph,
+    ListColourResult,
     OracleBudget,
     enumerate_hypergraphs,
     exact_chromatic_index,
@@ -118,6 +120,12 @@ class TestKernel:
         assert naive_validate(h, dict(enumerate(col)))
         assert chi == max(col) + 1
 
+    def test_list_search_on_empty_list(self):
+        # an edge of the path 0-1-2 with nothing to choose from: no colouring
+        adj = [0b010, 0b101, 0b010]
+        assert _kernel_py.list_colour(adj, [0b1, 0, 0b1]) == (None, True)
+        assert _kernel_py.list_colour(adj, [0b1, 0b11, 0b1]) == ([0, 1, 0], True)
+
     def test_lower_bound_at_greedy_skips_search(self, monkeypatch):
         h = _hard_instance(0)
         adj = [sum(1 << j for j in nbrs) for nbrs in _edge_adj(h)]
@@ -126,7 +134,7 @@ class TestKernel:
         def no_search(*args):
             raise AssertionError("the kernel searched")
 
-        monkeypatch.setattr(_kernel_py, "_try_k", no_search)
+        monkeypatch.setattr(_kernel_py, "_search", no_search)
         chi, col, completed = _kernel_py.solve_chromatic(adj, 1000, lower=ub)
         assert (chi, completed) == (ub, True)
         assert naive_validate(h, dict(enumerate(col)))
@@ -153,7 +161,7 @@ class TestExactListColourable:
         lists = {e: range(7) for e in range(7)}
         res = exact_list_colourable(fano, lists)
         assert res.status == "yes"
-        validate_colouring(fano, res.witness, lists=lists)
+        assert validate_colouring(fano, res.witness, lists=lists).valid
         assert len(set(res.witness.values())) == 7
 
     def test_fano_six_uniform_no(self, fano):
@@ -190,23 +198,55 @@ class TestExactListColourable:
         assert res.status == "budget"
 
     def test_matches_naive_on_corpus(self):
+        # colours below zero and from 64 up map to bit positions and back
         import random
 
         rng = random.Random(4242)
-        for h, _t in make_corpus(10, base_seed=4300, n_range=(4, 7), t_range=(1, 2)):
-            if h.m > 8:
-                continue
-            lists = {
-                e: rng.sample(range(10), rng.randint(1, 4)) for e in range(h.m)
-            }
-            res = exact_list_colourable(h, lists)
-            naive = naive_list_colouring(h, lists)
-            if res.status == "yes":
-                assert naive is not None
-                validate_colouring(h, res.witness, lists=lists)
-            else:
-                assert res.status == "no"
-                assert naive is None
+        corpus = make_corpus(10, base_seed=4300, n_range=(4, 7), t_range=(1, 2))
+        for pool in (range(10), range(-6, 2), range(60, 70), range(-100, 300, 37)):
+            for h, _t in corpus:
+                if h.m > 8:
+                    continue
+                lists = {e: rng.sample(pool, rng.randint(1, 4)) for e in range(h.m)}
+                res = exact_list_colourable(h, lists)
+                naive = naive_list_colouring(h, lists)
+                if res.status == "yes":
+                    assert naive is not None
+                    assert validate_colouring(h, res.witness, lists=lists).valid
+                else:
+                    assert res.status == "no"
+                    assert naive is None
+
+    def test_negative_and_high_colours_yes_and_no(self, fano):
+        # the seven lines pairwise intersect, and each star has only three
+        # lines, so seven colours are needed and no pigeonhole settles six
+        seven = {e: (-3, -1, 0, 64, 65, 128, 202) for e in range(7)}
+        res = exact_list_colourable(fano, seven)
+        assert naive_list_colouring(fano, seven) is not None
+        assert res.status == "yes"
+        assert validate_colouring(fano, res.witness, lists=seven).valid
+        six = {e: (-3, -1, 64, 65, 128, 202) for e in range(7)}
+        assert naive_list_colouring(fano, six) is None
+        res = exact_list_colourable(fano, six)
+        assert (res.status, res.detail) == ("no", "")
+
+    def test_empty_list_is_no(self):
+        h = Hypergraph(5, [(0, 1), (1, 2), (3, 4)])
+        lists = {0: [-2, 70], 1: [], 2: [70]}
+        assert naive_list_colouring(h, lists) is None
+        res = exact_list_colourable(h, lists)
+        assert res.status == "no"
+        assert res.witness is None
+
+    def test_time_refusal(self, fano):
+        # the 2-fold Fano plane needs 14 colours; proving 13 fail outlasts the cap
+        h = t_fold(fano, 2)
+        started = time.monotonic()
+        res = exact_list_colourable(
+            h, {e: range(13) for e in range(h.m)}, OracleBudget(time_cap_ms=20)
+        )
+        assert time.monotonic() - started < 1.0
+        assert res == ListColourResult("budget", detail="time cap hit")
 
 
 class TestMaximumComplementMatching:
