@@ -564,7 +564,9 @@ def colour_extremal(
     allowed = normalize_lists(h, lists)
     attempts: list[str] = []
     tn = t * h.n
-    size_ok = all(at_least_scaled_sqrt(len(e), 1 - delta, h.n) for e in h.edges)
+    size_ok = all(
+        at_least_scaled_sqrt(s, 1 - delta, h.n) for s in {len(e) for e in h.edges}
+    )
     matching_size: int | None = None
 
     def report(rung: str | None) -> ExtremalReport:

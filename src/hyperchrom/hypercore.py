@@ -11,9 +11,11 @@ All counting quantities (degrees, codegrees, volumes) are exact: integers or
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
+from math import comb
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
@@ -141,10 +143,25 @@ class Graph:
 
 @dataclass(frozen=True)
 class DegreeStats:
+    """Vertex degrees and the maximum codegree of one hypergraph.
+
+    ``codegree`` maps each pair ``(u, v)``, ``u < v``, covered by at least
+    one edge to its codegree.  It holds an entry per covered pair, so it is
+    built from ``edges`` on first read; the maxima never need it.
+    """
+
     degree: tuple[int, ...]
-    codegree: Mapping[tuple[int, int], int]
     max_degree: int
     max_codegree: int
+    edges: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
+
+    @cached_property
+    def codegree(self) -> Mapping[tuple[int, int], int]:
+        codeg: dict[tuple[int, int], int] = {}
+        for e in self.edges:
+            for pair in combinations(e, 2):
+                codeg[pair] = codeg.get(pair, 0) + 1
+        return MappingProxyType(codeg)
 
 
 @dataclass(frozen=True)
@@ -233,36 +250,55 @@ class LineGraphView:
 
     @cached_property
     def degree_stats(self) -> DegreeStats:
-        deg = [0] * self._n
-        codeg: dict[tuple[int, int], int] = {}
-        for e in self._edges:
-            for i, u in enumerate(e):
-                deg[u] += 1
-                for v in e[i + 1 :]:
-                    key = (u, v)
-                    codeg[key] = codeg.get(key, 0) + 1
+        # u's codegrees by counting the other vertices of its edges in bit
+        # slices (at_least[k]: those met more than k times), so a vertex
+        # costs O(d(u) * (c + 1)) steps for maximum codegree c; a vertex
+        # whose degree cannot beat the best so far is skipped
+        incidence, masks = self.incidence, self._masks
+        deg = tuple(star.bit_count() for star in incidence)
+        best = 0
+        for u, star in enumerate(incidence):
+            if deg[u] <= best:
+                continue
+            others = ~(1 << u)
+            at_least: list[int] = []
+            for i in mask_bits(star):
+                carry = masks[i] & others
+                for k, level in enumerate(at_least):
+                    at_least[k], carry = level | carry, level & carry
+                    if not carry:
+                        break
+                if carry:
+                    at_least.append(carry)
+            best = max(best, len(at_least))
         return DegreeStats(
-            degree=tuple(deg),
-            codegree=MappingProxyType(codeg),
-            max_degree=max(deg, default=0),
-            max_codegree=max(codeg.values(), default=0),
+            degree=deg, max_degree=max(deg, default=0), max_codegree=best, edges=self._edges
         )
 
     @cached_property
     def predicates(self) -> Predicates:
-        # two edges share two vertices exactly when that pair has codegree >= 2
+        # ``shared`` counts each pair of edges once per vertex they share and
+        # ``meeting`` once if they meet at all, so the two agree iff no two
+        # edges share two vertices
+        rows = self.rows
+        shared = sum(comb(star.bit_count(), 2) for star in self.incidence)
+        meeting = sum(row.bit_count() for row in rows) // 2
         full = (1 << len(self._edges)) - 1
         return Predicates(
-            is_linear=self.degree_stats.max_codegree <= 1,
-            is_intersecting=all(row | 1 << i == full for i, row in enumerate(self.rows)),
+            is_linear=meeting == shared,
+            is_intersecting=all(row | 1 << i == full for i, row in enumerate(rows)),
         )
 
 
 def degree_stats(h: Hypergraph) -> DegreeStats:
     """Vertex degrees and pairwise codegrees, with their maxima.
 
-    The codegree map only lists pairs ``(u, v)`` with ``u < v`` covered by at
-    least one edge; absent pairs have codegree 0.
+    Degrees are popcounts of the cached stars (edge bitmasks per vertex).
+    The maximum codegree counts, for each vertex, the other vertices of its
+    edges in bit slices, in O(sum |e| * (c + 1)) steps for maximum codegree
+    c, so neither builds the codegree map.  That map (read-only) lists only
+    pairs ``(u, v)`` with ``u < v`` covered by at least one edge; absent
+    pairs have codegree 0.  It is built on its first read.
     """
     return h.view.degree_stats
 
@@ -391,7 +427,12 @@ def validate_colouring(
 
     Every edge must carry a colour: a missing edge id raises rather than
     reporting, since a partial map is a caller bug, not a property of the
-    colouring.  Violations enumerate offending pairs/edges.
+    colouring.  Violations list each conflicting pair ``("conflict", i, j)``
+    once, ascending, then each off-list edge ``("list", i)``.  Two edges
+    meet exactly when some vertex lies on both, so the conflicts are read
+    off each vertex's star (its edges, taken from ``h.edges`` rather than
+    the cached view, so the check stays independent of it) in
+    O(n + sum |e|) time plus the conflicts found.
     """
     for i in range(h.m):
         if i not in colouring:
@@ -399,12 +440,20 @@ def validate_colouring(
     for i in colouring:
         if not 0 <= i < h.m:
             raise ValueError(f"unknown edge id {i} in colouring")
-    violations: list[tuple] = []
-    masks = h.edge_masks
-    for i in range(h.m):
-        for j in range(i + 1, h.m):
-            if masks[i] & masks[j] and colouring[i] == colouring[j]:
-                violations.append(("conflict", i, j))
+    stars: list[list[int]] = [[] for _ in range(h.n)]
+    for i, e in enumerate(h.edges):
+        for v in e:
+            stars[v].append(i)
+    conflicts: set[tuple[int, int]] = set()
+    for star in stars:
+        if len({colouring[i] for i in star}) == len(star):
+            continue
+        by_colour: dict[int, list[int]] = {}
+        for i in star:
+            by_colour.setdefault(colouring[i], []).append(i)
+        for same in by_colour.values():
+            conflicts.update(combinations(same, 2))
+    violations: list[tuple] = [("conflict", i, j) for i, j in sorted(conflicts)]
     if lists is not None:
         allowed = normalize_lists(h, lists)
         for i in range(h.m):

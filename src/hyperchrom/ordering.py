@@ -403,9 +403,10 @@ def partition_extremal(
 
     p1_wit = next((e for e in range(h.m) if sizes[e] <= r0 and e not in in_h1), None)
     _flag(flags, witness, vacuous, "P'1", p1_wit is None, wit=p1_wit, empty=h.m == 0)
-    p2_wit = next(
-        (e for e in h3 if not at_least_scaled_sqrt(sizes[e], 1 - 2 * delta, n)), None
-    )
+    too_small = {
+        s for s in {sizes[e] for e in h3} if not at_least_scaled_sqrt(s, 1 - 2 * delta, n)
+    }
+    p2_wit = next((e for e in h3 if sizes[e] in too_small), None)
     _flag(flags, witness, vacuous, "P'2", p2_wit is None, wit=p2_wit, empty=not h3)
     fd1_wit = next((e for e in h2 if fwd[e] > t * n - 2), None)
     _flag(flags, witness, vacuous, "FD'1", fd1_wit is None, wit=fd1_wit, empty=not h2)

@@ -205,9 +205,11 @@ def colour_small(
     """
     ids = list(edge_ids)
     forbidden = forbidden or {}
-    allowed = {
-        e: frozenset(lists[e]) - frozenset(forbidden.get(e, ())) for e in ids
-    }
+    allowed = {}
+    for e in ids:
+        # a tn list holds hundreds of colours: copy it only to take some away
+        cs, banned = frozenset(lists[e]), forbidden.get(e)
+        allowed[e] = cs.difference(banned) if banned else cs
     for e in ids:
         if not allowed[e]:
             return ColouringFailure(
@@ -376,7 +378,7 @@ def _run_script(
         got = colour_small(
             h,
             split.sml,
-            {e: allowed[e] - reserved for e in split.sml},
+            {e: allowed[e] - reserved for e in split.sml} if reserved else allowed,
             {e: taken_colours(rows[e] & lrg_coloured, col) for e in split.sml},
             seed=params.seed + sml_seed,
         )

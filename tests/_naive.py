@@ -141,6 +141,28 @@ def naive_validate(h: Hypergraph, col: dict[int, int], lists=None) -> bool:
     return True
 
 
+def naive_conflicts(h: Hypergraph, col: dict[int, int]) -> list[tuple[int, int]]:
+    """Every pair i < j of intersecting edges with the same colour, ascending."""
+    masks = h.edge_masks
+    return [
+        (i, j)
+        for i in range(h.m)
+        for j in range(i + 1, h.m)
+        if masks[i] & masks[j] and col[i] == col[j]
+    ]
+
+
+def naive_codegree(h: Hypergraph) -> dict[tuple[int, int], int]:
+    """Codegree of every vertex pair u < v that some edge covers."""
+    out = {}
+    for u in range(h.n):
+        for v in range(u + 1, h.n):
+            count = sum(1 for e in h.edges if u in e and v in e)
+            if count:
+                out[(u, v)] = count
+    return out
+
+
 def naive_forward_degrees(h: Hypergraph, order: list[int] | tuple[int, ...]) -> dict[int, int]:
     """Forward degree of each edge: earlier edges in the order that meet it."""
     masks = h.edge_masks

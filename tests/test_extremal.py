@@ -316,3 +316,7 @@ class TestColourExtremal:
                 assert validate_colouring(h, col, lists=lists).valid
             else:
                 assert report.rung is None
+            # |V(e)| >= (1 - delta) * sqrt(n) at the default delta = 1/10
+            assert report.size_premise_ok == all(
+                100 * len(e) ** 2 >= 81 * h.n for e in h.edges
+            )

@@ -24,6 +24,8 @@ from hyperchrom.hypercore import star_pigeonhole
 from tests._naive import (
     _edge_adj,
     naive_closed_nbhd,
+    naive_codegree,
+    naive_conflicts,
     naive_degree,
     naive_list_colouring,
     naive_overfull_star,
@@ -246,6 +248,14 @@ class TestLineGraphView:
         assert hash(a) == before == hash(b)
         assert a == b and b == a
 
+    def test_codegree_matches_naive(self):
+        for h in _view_cases():
+            expected = naive_codegree(h)
+            stats = degree_stats(h)
+            assert stats.max_codegree == max(expected.values(), default=0)
+            assert "codegree" not in vars(stats)  # built on first read only
+            assert dict(stats.codegree) == expected
+
     def test_codegree_map_is_read_only(self):
         stats = degree_stats(Hypergraph(3, [(0, 1)]))
         with pytest.raises(TypeError):
@@ -302,6 +312,28 @@ class TestValidateColouring:
         assert rep.valid
         rep = validate_colouring(fano, {e: e + 10 for e in range(7)}, lists)
         assert not rep.valid and all(v[0] == "list" for v in rep.violations)
+
+    def test_matches_pair_scan(self):
+        import random
+
+        rng = random.Random(6100)
+        # edges sharing two vertices and a pair of parallel edges, so one
+        # conflicting pair can show up in several stars
+        cases = _view_cases() + [Hypergraph(4, [(0, 1, 2), (0, 1, 3), (1, 2, 3), (1, 2, 3)])]
+        conflicted = 0
+        for h in cases:
+            for _ in range(3):
+                k = rng.randint(2, 3)
+                col = {e: rng.randrange(k) for e in range(h.m)}
+                lists = {e: rng.sample(range(k), k - 1) for e in range(h.m)}
+                rep = validate_colouring(h, col, lists)
+                expected = [("conflict", i, j) for i, j in naive_conflicts(h, col)]
+                conflicted += bool(expected)
+                expected += [("list", e) for e in range(h.m) if col[e] not in lists[e]]
+                assert rep.violations == tuple(expected)
+                assert rep.valid == (not expected)
+                assert rep.colour_count == len(set(col.values()))
+        assert conflicted >= 30
 
     def test_missing_edge_is_an_error(self, fano):
         with pytest.raises(ValueError):

@@ -318,6 +318,19 @@ class TestPartitionExtremal:
             h, 2, Fraction(1, 10), Fraction(1, 4), 2, cert
         )
 
+    def test_p2_witness_is_first_short_h3_edge(self, corpus):
+        delta, short_seen = Fraction(1, 10), 0
+        for h, t in corpus:
+            cert = partition_extremal(h, t, delta, Fraction(1, 4), 2, sigma=Fraction(9, 10))
+            short = [
+                e
+                for e in cert.parts["H3"]
+                if len(h.edges[e]) ** 2 < (1 - 2 * delta) ** 2 * h.n
+            ]
+            assert cert.witness.get("P'2") == (short[0] if short else None)
+            short_seen += bool(short)
+        assert short_seen >= 3
+
     def test_parameter_domain(self, fano):
         with pytest.raises(ValueError):
             partition_extremal(fano, 1, 0, Fraction(1, 4), 2)
@@ -347,7 +360,7 @@ class TestGreedyListColour:
         lists = {e: range(7) for e in range(7)}
         col = greedy_list_colour(fano, lists)
         assert sorted(col.values()) == list(range(7))
-        validate_colouring(fano, col, lists=lists)
+        assert validate_colouring(fano, col, lists=lists).valid
 
     def test_fano_six_colours_fails_at_last_edge(self, fano):
         out = greedy_list_colour(fano, {e: range(6) for e in range(7)})
@@ -372,7 +385,7 @@ class TestGreedyListColour:
             lists = {e: range(fwd[e] + 1) for e in range(h.m)}
             col = greedy_list_colour(h, lists, order)
             assert not isinstance(col, ColouringFailure)
-            validate_colouring(h, col, lists=lists)
+            assert validate_colouring(h, col, lists=lists).valid
 
 
 class TestGreedyExtend:

@@ -170,7 +170,7 @@ class TestColourSmall:
         lists = {e: [0, 1, 2] for e in range(3)}
         col = colour_small(triangle, range(3), lists)
         assert isinstance(col, dict)
-        validate_colouring(triangle, col, lists=lists)
+        assert validate_colouring(triangle, col, lists=lists).valid
         assert len(set(col.values())) == 3
 
     def test_triangle_single_colour_fails(self, triangle):
@@ -275,7 +275,7 @@ class TestColourStability:
         lists = uniform_lists(fano, 50)
         run = colour_stability(fano, 1, lists, params)
         assert run.ok
-        validate_colouring(fano, run.outcome, lists=lists)
+        assert validate_colouring(fano, run.outcome, lists=lists).valid
         stages = _stage_map(run)
         assert stages["reserve"] == "ok"
         assert stages["lrg-partition"] == "ok"
@@ -298,7 +298,7 @@ class TestColourStability:
         lists = uniform_lists(h, 100)
         run = colour_stability(h, 1, lists, params)
         assert run.ok
-        validate_colouring(h, run.outcome, lists=lists)
+        assert validate_colouring(h, run.outcome, lists=lists).valid
 
     def test_success_validates_on_corpus(self):
         sigma = Fraction(1, 50)
@@ -307,7 +307,7 @@ class TestColourStability:
             lists = uniform_lists(h, size)
             run = colour_stability(h, t, lists)
             if run.ok:
-                validate_colouring(h, run.outcome, lists=lists)
+                assert validate_colouring(h, run.outcome, lists=lists).valid
                 assert len(set(run.outcome.values())) <= size
 
     def test_t_must_be_positive(self, fano):
@@ -321,7 +321,7 @@ class TestColourMain:
         lists = uniform_lists(h, 14)
         run = colour_main(h, 2, lists)
         assert run.ok
-        validate_colouring(h, run.outcome, lists=lists)
+        assert validate_colouring(h, run.outcome, lists=lists).valid
         assert len(set(run.outcome.values())) == 14
 
     def test_fano_minus_line_six_colours(self, fano):
@@ -329,7 +329,7 @@ class TestColourMain:
         lists = uniform_lists(h, 6)
         run = colour_main(h, 1, lists)
         assert run.ok
-        validate_colouring(h, run.outcome, lists=lists)
+        assert validate_colouring(h, run.outcome, lists=lists).valid
         assert len(set(run.outcome.values())) == 6
 
     def test_ladder_reaches_exact_rung(self):
@@ -339,7 +339,7 @@ class TestColourMain:
         lists = uniform_lists(h, 9)
         run = colour_main(h, 1, lists)
         assert run.ok
-        validate_colouring(h, run.outcome, lists=lists)
+        assert validate_colouring(h, run.outcome, lists=lists).valid
         assert len(set(run.outcome.values())) == 9
         stages = _stage_map(run)
         assert stages["stability:reserve"] == "failed"
@@ -414,7 +414,7 @@ class TestColourMain:
             lists = uniform_lists(h, t * h.n)
             run = colour_main(h, t, lists)
             if run.ok:
-                validate_colouring(h, run.outcome, lists=lists)
+                assert validate_colouring(h, run.outcome, lists=lists).valid
 
     def test_t_must_be_positive(self, fano):
         with pytest.raises(ValueError):
