@@ -183,12 +183,12 @@ def _parse_lists(spec: str, h: Hypergraph) -> dict[int, frozenset[int]]:
 
 def _default_time_cap() -> int:
     raw = os.environ.get("HYPERCHROM_TIME_CAP_MS", "")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return 60_000
+    if not raw:
+        return 60_000
+    try:
+        return _positive_int(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"HYPERCHROM_TIME_CAP_MS {exc}") from None
 
 
 def _cmd_gen(args) -> int:
@@ -244,22 +244,14 @@ def _cmd_order(args) -> int:
     started = time.monotonic()
     h, digest = _read_input(args.input)
     params: dict = {"t": args.t}
-    if args.partition == "stability":
-        cert = partition_stability(h, args.t, args.sigma, args.delta)
-        params.update(partition="stability", sigma=args.sigma, delta=args.delta)
-        ordering = cert.ordering
-        payload = {
-            "parts": cert.parts,
-            "property_flags": cert.property_flags,
-            "witness": cert.witness,
-            "vacuous": cert.vacuous,
-            "notes": cert.notes,
-        }
-        holds = all(cert.property_flags.values())
-    elif args.partition == "extremal":
-        r0 = args.r0 if args.r0 is not None else PipelineParams().resolved_r0(h.n)
-        cert = partition_extremal(h, args.t, args.delta, args.gamma, r0)
-        params.update(partition="extremal", delta=args.delta, gamma=args.gamma, r0=r0)
+    if args.partition:
+        if args.partition == "stability":
+            cert = partition_stability(h, args.t, args.sigma, args.delta)
+            params.update(partition="stability", sigma=args.sigma, delta=args.delta)
+        else:
+            r0 = args.r0 if args.r0 is not None else PipelineParams().resolved_r0(h.n)
+            cert = partition_extremal(h, args.t, args.delta, args.gamma, r0)
+            params.update(partition="extremal", delta=args.delta, gamma=args.gamma, r0=r0)
         ordering = cert.ordering
         payload = {
             "parts": cert.parts,
@@ -344,7 +336,7 @@ def _cmd_exact(args) -> int:
     h, digest = _read_input(args.input)
     budget = OracleBudget(
         max_edges=args.budget_edges,
-        time_cap_ms=args.time_cap_ms if args.time_cap_ms else _default_time_cap(),
+        time_cap_ms=args.time_cap_ms if args.time_cap_ms is not None else _default_time_cap(),
     )
     params = {"budget_edges": budget.max_edges, "time_cap_ms": budget.time_cap_ms}
     if args.lists:
@@ -526,6 +518,16 @@ def _fraction(text: str) -> Fraction:
     return Fraction(text)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hyperchrom",
@@ -578,7 +580,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--lists", help="uniform:K or a lists file")
     p.add_argument("--budget-edges", type=int, default=24)
-    p.add_argument("--time-cap-ms", type=int, help="default HYPERCHROM_TIME_CAP_MS or 60000")
+    p.add_argument(
+        "--time-cap-ms", type=_positive_int, help="default HYPERCHROM_TIME_CAP_MS or 60000"
+    )
     p.set_defaults(func=_cmd_exact)
 
     p = sub.add_parser("classify", help="edge-count bound and extremal structure")

@@ -111,31 +111,21 @@ def is_t_useful(h: Hypergraph, t: int, e: int, f: int) -> bool:
     return common.bit_count() <= t * h.n - 3
 
 
-def maximal_complement_matching(h: Hypergraph, strategy: str = "greedy") -> ComplementMatching:
-    """Pairs of vertex-disjoint edges: greedy first-fit or exact maximum.
-
-    First-fit pairs each unpaired edge, in id order, with the lowest later
-    unpaired edge it misses.
-    """
-    comp = h.view.line_graph.complement().adj
-    if strategy == "greedy":
-        used = 0
-        pairs = []
-        for i, row in enumerate(comp):
-            free = row & ~used & ~((2 << i) - 1)
-            if used >> i & 1 or not free:
-                continue
-            j = (free & -free).bit_length() - 1
-            pairs.append((i, j))
-            used |= 1 << i | 1 << j
-        cm = ComplementMatching(tuple(pairs))
-    elif strategy == "maximum":
-        comp_adj = [mask_bits(row) for row in comp]
-        cm = ComplementMatching(tuple(_matching.max_matching(h.m, comp_adj)))
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+def maximal_complement_matching(h: Hypergraph) -> ComplementMatching:
+    """A maximum set of disjoint pairs of vertex-disjoint edges."""
+    comp_adj = [mask_bits(row) for row in h.view.line_graph.complement().adj]
+    cm = ComplementMatching(tuple(_matching.max_matching(h.m, comp_adj)))
     cm.validate(h)
     return cm
+
+
+def _first_disjoint_pair(h: Hypergraph) -> tuple[int, int] | None:
+    """The lexicographically first pair i < j of vertex-disjoint edges."""
+    for i, row in enumerate(h.view.line_graph.complement().adj):
+        later = row >> (i + 1)
+        if later:
+            return i, i + 1 + (later & -later).bit_length() - 1
+    return None
 
 
 def colour_from_matching(
@@ -391,7 +381,7 @@ def find_useful_family(
 
     adj = h.view.rows
     masks = h.edge_masks
-    nmatch = maximal_complement_matching(h, "maximum").pairs
+    nmatch = maximal_complement_matching(h).pairs
     if len(nmatch) > r:
         notes.append(
             f"maximum complement matching has {len(nmatch)} > r={r} pairs;"
@@ -598,8 +588,7 @@ def colour_extremal(
         attempts.append(f"rung 1 stuck at edge {out.stuck_edge}")
     elif h.m == tn:
         if not predicates(h).is_intersecting:
-            # first-fit's first pair is the lexicographically first disjoint pair
-            cm = ComplementMatching(maximal_complement_matching(h).pairs[:1])
+            cm = ComplementMatching((_first_disjoint_pair(h),))
             if all(len(allowed[i]) >= h.m - 1 for i in range(h.m)):
                 out = colour_from_matching(h, cm, allowed)
                 if isinstance(out, dict):
@@ -613,7 +602,7 @@ def colour_extremal(
                 return out, report("2: all-distinct (e = t*n, intersecting)")
             attempts.append(f"rung 2 stuck at edge {out.stuck_edge}")
 
-    cm = maximal_complement_matching(h, strategy="maximum")
+    cm = maximal_complement_matching(h)
     matching_size = cm.size
     if all(len(allowed[i]) >= h.m - cm.size for i in range(h.m)):
         out = colour_from_matching(h, cm, allowed)

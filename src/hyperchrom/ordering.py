@@ -1,19 +1,20 @@
 """Edge orderings with forward-degree control.
 
-The central routine ``reorder`` runs a local search over a size-monotone
-ordering: it repeatedly either retires the last prefix edge (when its
-forward degree is already small) or moves some low-forward-degree prefix
-edge past it.  Either the prefix empties (case A: every edge ends up with
-small forward degree) or the search sticks (case B), which pins down a block
-W of near-equal sizes carrying most of the volume.  The two partition
-builders splice reorderings of the leftover block into three-part orderings
-with certified properties.
+The central routine ``reorder`` peels a size-monotone ordering from the
+back: each step retires one prefix edge with few neighbours left in the
+prefix (the last one if it qualifies, else the first that does) to the
+front of the suffix.  Either the prefix empties (case A: every edge ends up
+with small forward degree) or no prefix edge qualifies (case B), which pins
+down a block W of near-equal sizes carrying most of the volume.  The two
+partition builders split an outcome at e*, reorder the head again, and
+splice the parts into three-part orderings with certified properties.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import floor
 from typing import Callable, Iterable, Mapping
 
 from .exactarith import as_fraction, at_least_scaled_sqrt, fourth_root_enclosure
@@ -105,10 +106,13 @@ def reorder(
 ) -> ReorderOutcome:
     """Local-search reordering with forward-degree target t*(1-tau)*n.
 
-    Starting from the size-monotone ordering, shrink the prefix whenever its
-    last edge e* has forward degree at most the target; otherwise move the
-    lowest-rank prefix edge whose prefix-degree meets the target to just
-    after e*.  Stuck means case B: no prefix edge qualifies.
+    The prefix starts as the size-monotone ordering and the suffix empty.
+    Each step retires one prefix edge whose degree into the prefix is at
+    most the target: the last prefix edge if it qualifies, otherwise the
+    first one that does.  A retired edge leaves the prefix and goes to the
+    front of the suffix, so the suffix is the retired edges, latest first.
+    Case A: the prefix empties.  Case B: no prefix edge qualifies, and e* is
+    the last prefix edge.
 
     tau must lie in (0,1) and K must be at least 1.  The classical volume
     guarantee additionally wants 1 - tau - 7*tau^(1/4)/K > 0; that premise
@@ -128,48 +132,31 @@ def reorder(
     ids = list(range(h.m)) if edge_ids is None else list(edge_ids)
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate edge ids")
-    start = size_monotone_ordering(h, ids)
-    order = list(start.perm)
-    s = len(order)
+    prefix = list(size_monotone_ordering(h, ids).perm)
     bound = t * (1 - tau) * h.n
+    limit = floor(bound)  # an integer degree d is <= bound iff d <= limit
 
     rows = h.view.rows
+    prefix_mask = sum(1 << e for e in prefix)
 
-    def prefix_degree(e: int, prefix_mask: int) -> int:
-        return (rows[e] & prefix_mask).bit_count()
+    def fits(e: int) -> bool:
+        return (rows[e] & prefix_mask).bit_count() <= limit
 
-    prefix_len = s
-    prefix_mask = 0
-    for e in order:
-        prefix_mask |= 1 << e
-
+    retired: list[int] = []  # in retirement order; the suffix reversed
     case = "A"
     e_star: int | None = None
-    for _step in range(s + 2):
-        if prefix_len == 0:
-            case = "A"
-            break
-        last = order[prefix_len - 1]
-        if prefix_degree(last, prefix_mask) <= bound:
-            prefix_len -= 1
-            prefix_mask &= ~(1 << last)
-            continue
-        moved = False
-        for i in range(prefix_len):
-            e = order[i]
-            if prefix_degree(e, prefix_mask) <= bound:
-                order.pop(i)
-                order.insert(prefix_len - 1, e)
-                prefix_len -= 1
-                prefix_mask &= ~(1 << e)
-                moved = True
+    while prefix:
+        if fits(prefix[-1]):
+            e = prefix.pop()
+        else:
+            i = next((i for i, f in enumerate(prefix) if fits(f)), None)
+            if i is None:
+                case, e_star = "B", prefix[-1]
                 break
-        if not moved:
-            case = "B"
-            e_star = last
-            break
-    else:  # pragma: no cover - the prefix shrinks every iteration
-        raise RuntimeError("internal: reorder exceeded its iteration cap")
+            e = prefix.pop(i)
+        prefix_mask ^= 1 << e
+        retired.append(e)
+    ordering = EdgeOrdering(tuple(prefix + retired[::-1]))
 
     x_lo, x_hi = fourth_root_enclosure(tau)
     base_lo = 1 - tau - 7 * x_lo / K
@@ -185,13 +172,10 @@ def reorder(
         r = len(h.edges[e_star])
         factor = 1 + 3 * x_lo * K**3
         members = [
-            e
-            for e in order[:prefix_len]
-            if len(h.edges[e]) == r or r <= len(h.edges[e]) < factor * r
+            e for e in prefix if len(h.edges[e]) == r or r <= len(h.edges[e]) < factor * r
         ]
         w_block = tuple(members)
-        w_start = prefix_len - len(members)
-        if order[w_start:prefix_len] != members:  # pragma: no cover - defensive
+        if prefix[len(prefix) - len(members) :] != members:  # pragma: no cover - defensive
             raise RuntimeError("internal: W is not a suffix of the prefix")
         w_sizes = [len(h.edges[e]) for e in w_block]
         ratio = Fraction(max(w_sizes), min(w_sizes))
@@ -210,10 +194,9 @@ def reorder(
     # O1: edges past the final prefix keep small forward degree; O2: the
     # prefix stays size-monotone.  Both should hold by construction and are
     # recomputed honestly here.
-    ordering = EdgeOrdering(tuple(order))
     fwd = forward_degrees(h, ordering)
-    o1_ok = all(fwd[e] <= bound for e in order[prefix_len:])
-    sizes_prefix = [len(h.edges[e]) for e in order[:prefix_len]]
+    o1_ok = all(fwd[e] <= limit for e in retired)
+    sizes_prefix = [len(h.edges[e]) for e in prefix]
     o2_ok = all(
         sizes_prefix[i] >= sizes_prefix[i + 1] for i in range(len(sizes_prefix) - 1)
     )
@@ -230,23 +213,61 @@ def reorder(
     )
 
 
-def _flag(
-    flags: dict, witness: dict, vacuous: list, name: str, ok: bool, wit=None, empty=False
-) -> None:
-    flags[name] = True if empty else ok
-    if empty:
-        vacuous.append(name)
-    elif not ok and wit is not None:
-        witness[name] = wit
+def _split(outcome: ReorderOutcome) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(the edges up to and including e*, the tail); in case A all is tail."""
+    perm = outcome.ordering.perm
+    cut = 0 if outcome.case == "A" else perm.index(outcome.e_star) + 1
+    return perm[:cut], perm[cut:]
 
 
-def partition_stability(
+def _certify(
     h: Hypergraph,
-    t: int,
-    sigma,
-    delta,
-    probe: int | None = None,
+    parts: dict[str, tuple[int, ...]],
+    properties: list[tuple[str, bool, object, bool]],
+    degree_caps: list[tuple[str, tuple[int, ...], Fraction | int]],
+    splice_flag: str,
+    notes: dict,
 ) -> PartitionCertificate:
+    """Splice ``parts`` in order and certify the result.
+
+    ``properties`` holds (name, ok, witness, vacuous) for flags read off the
+    parts alone; a failed flag records its witness unless that is None.
+    ``degree_caps`` holds (name, part, cap): every edge of the part has
+    forward degree at most cap, else the first edge over it is the witness.
+    ``splice_flag`` names the check that each part precedes the next.
+    """
+    final = EdgeOrdering(tuple(e for part in parts.values() for e in part))
+    fwd = forward_degrees(h, final)
+    checks = list(properties)
+    for name, part, cap in degree_caps:
+        limit = floor(cap)
+        over = next((e for e in part if fwd[e] > limit), None)
+        checks.append((name, over is None, over, not part))
+    pos = final.position()
+    spans = [[pos[e] for e in part] for part in parts.values() if part]
+    in_order = all(max(a) < min(b) for a, b in zip(spans, spans[1:]))
+    checks.append((splice_flag, in_order, None, False))
+
+    flags: dict[str, bool] = {}
+    witness: dict[str, object] = {}
+    vacuous: list[str] = []
+    for name, ok, wit, empty in checks:
+        flags[name] = empty or ok
+        if empty:
+            vacuous.append(name)
+        elif not ok and wit is not None:
+            witness[name] = wit
+    return PartitionCertificate(
+        parts=parts,
+        ordering=final,
+        property_flags=flags,
+        witness=witness,
+        vacuous=tuple(vacuous),
+        notes=notes,
+    )
+
+
+def partition_stability(h: Hypergraph, t: int, sigma, delta) -> PartitionCertificate:
     """Three-part splice H2 < W < H1 with near-uniform W.
 
     Runs the local search at (2*sigma, 1); case A yields the trivial
@@ -255,8 +276,7 @@ def partition_stability(
     (1 - 1/2000, 2000^2) to become H2.  Flags: P1 size ratio on W within
     1+delta, P2 W-volume at least (1-delta)t, P3 all H2 edges at least as
     large as W's largest, FD1/FD2 forward-degree targets on H1/H2, FD3 the
-    splice order itself.  ``probe`` (optional) records whether lists of that
-    size would let greedy colouring finish along the final ordering.
+    splice order itself.
     """
     sigma = as_fraction(sigma)
     delta = as_fraction(delta)
@@ -267,77 +287,32 @@ def partition_stability(
 
     outer = reorder(h, t, 2 * sigma, 1)
     notes: dict = {"outer_case": outer.case, "outer_certificates": outer.certificates}
-    if outer.case == "A":
-        h1 = tuple(outer.ordering.perm)
-        w_block: tuple[int, ...] = ()
-        h2: tuple[int, ...] = ()
-        final = outer.ordering
-    else:
-        perm = outer.ordering.perm
-        i_star = perm.index(outer.e_star)
-        w_block = outer.W
-        w_start = i_star + 1 - len(w_block)
-        h2_ids = perm[:w_start]
-        h1 = perm[i_star + 1 :]
+    head, h1 = _split(outer)
+    w_block = outer.W
+    h2: tuple[int, ...] = ()
+    if outer.case == "B":
+        h2_ids = head[: len(head) - len(w_block)]
         inner = reorder(h, t, Fraction(1999, 2000), Fraction(2000) ** 2, edge_ids=h2_ids)
         notes["inner_case"] = inner.case
-        h2 = tuple(inner.ordering.perm)
-        final = EdgeOrdering(h2 + w_block + h1)
+        h2 = inner.ordering.perm
 
-    flags: dict[str, bool] = {}
-    witness: dict[str, object] = {}
-    vacuous: list[str] = []
     sizes = [len(e) for e in h.edges]
-    fwd = forward_degrees(h, final)
-    n = h.n
-
     w_sizes = [sizes[e] for e in w_block]
-    _flag(
-        flags,
-        witness,
-        vacuous,
-        "P1",
-        bool(w_block) and max(w_sizes) <= (1 + delta) * min(w_sizes),
-        wit=(max(w_sizes, default=0), min(w_sizes, default=0)) if w_block else None,
-        empty=not w_block,
-    )
-    _flag(
-        flags,
-        witness,
-        vacuous,
-        "P2",
-        bool(w_block) and h.n >= 2 and volume(h, w_block) >= (1 - delta) * t,
-        wit=str(volume(h, w_block)) if w_block and h.n >= 2 else None,
-        empty=not w_block,
-    )
-    p3_wit = next((e for e in h2 if w_sizes and sizes[e] < max(w_sizes)), None)
-    _flag(
-        flags, witness, vacuous, "P3", p3_wit is None, wit=p3_wit, empty=not h2 or not w_block
-    )
-    fd1_bound = (1 - 2 * sigma) * t * n
-    fd1_wit = next((e for e in h1 if fwd[e] > fd1_bound), None)
-    _flag(flags, witness, vacuous, "FD1", fd1_wit is None, wit=fd1_wit, empty=not h1)
-    fd2_bound = Fraction(t * n, 2000)
-    fd2_wit = next((e for e in h2 if fwd[e] > fd2_bound), None)
-    _flag(flags, witness, vacuous, "FD2", fd2_wit is None, wit=fd2_wit, empty=not h2)
-    pos = final.position()
-    fd3_ok = all(pos[a] < pos[b] for a in h2 for b in w_block) and all(
-        pos[a] < pos[b] for a in w_block for b in h1
-    )
-    _flag(flags, witness, vacuous, "FD3", fd3_ok)
-
-    if probe is not None:
-        notes["probe"] = probe
-        notes["probe_ok"] = all(d + 1 <= probe for d in fwd.values())
-
-    return PartitionCertificate(
-        parts={"H2": h2, "W": w_block, "H1": h1},
-        ordering=final,
-        property_flags=flags,
-        witness=witness,
-        vacuous=tuple(vacuous),
-        notes=notes,
-    )
+    w_max, w_min = max(w_sizes, default=0), min(w_sizes, default=0)
+    w_vol = volume(h, w_block) if w_block and h.n >= 2 else None
+    p2_wit = None if w_vol is None else str(w_vol)
+    p3_wit = next((e for e in h2 if sizes[e] < w_max), None)
+    properties = [
+        ("P1", w_max <= (1 + delta) * w_min, (w_max, w_min), not w_block),
+        ("P2", w_vol is not None and w_vol >= (1 - delta) * t, p2_wit, not w_block),
+        ("P3", p3_wit is None, p3_wit, not h2 or not w_block),
+    ]
+    degree_caps = [
+        ("FD1", h1, (1 - 2 * sigma) * t * h.n),
+        ("FD2", h2, Fraction(t * h.n, 2000)),
+    ]
+    parts = {"H2": h2, "W": w_block, "H1": h1}
+    return _certify(h, parts, properties, degree_caps, "FD3", notes)
 
 
 def partition_extremal(
@@ -371,62 +346,31 @@ def partition_extremal(
 
     outer = reorder(h, t, 1 - gamma, 1 / gamma**2)
     notes: dict = {"outer_case": outer.case, "outer_certificates": outer.certificates}
-    if outer.case == "A":
-        h1 = tuple(outer.ordering.perm)
-        h2: tuple[int, ...] = ()
-        h3: tuple[int, ...] = ()
-        final = outer.ordering
-    else:
-        perm = outer.ordering.perm
-        i_star = perm.index(outer.e_star)
-        h1 = perm[i_star + 1 :]
-        left = perm[: i_star + 1]
-        inner = reorder(h, t, sigma, 1, edge_ids=left)
+    head, h1 = _split(outer)
+    h3: tuple[int, ...] = ()
+    h2: tuple[int, ...] = ()
+    if outer.case == "B":
+        inner = reorder(h, t, sigma, 1, edge_ids=head)
         notes["inner_case"] = inner.case
-        iperm = inner.ordering.perm
-        if inner.case == "A":
-            h3 = ()
-            h2 = tuple(iperm)
-        else:
-            j_star = iperm.index(inner.e_star)
-            h3 = tuple(iperm[: j_star + 1])
-            h2 = tuple(iperm[j_star + 1 :])
-        final = EdgeOrdering(tuple(iperm) + h1)
+        h3, h2 = _split(inner)
 
-    flags: dict[str, bool] = {}
-    witness: dict[str, object] = {}
-    vacuous: list[str] = []
     sizes = [len(e) for e in h.edges]
-    fwd = forward_degrees(h, final)
-    n = h.n
     in_h1 = set(h1)
-
     p1_wit = next((e for e in range(h.m) if sizes[e] <= r0 and e not in in_h1), None)
-    _flag(flags, witness, vacuous, "P'1", p1_wit is None, wit=p1_wit, empty=h.m == 0)
     too_small = {
-        s for s in {sizes[e] for e in h3} if not at_least_scaled_sqrt(s, 1 - 2 * delta, n)
+        s for s in {sizes[e] for e in h3} if not at_least_scaled_sqrt(s, 1 - 2 * delta, h.n)
     }
     p2_wit = next((e for e in h3 if sizes[e] in too_small), None)
-    _flag(flags, witness, vacuous, "P'2", p2_wit is None, wit=p2_wit, empty=not h3)
-    fd1_wit = next((e for e in h2 if fwd[e] > t * n - 2), None)
-    _flag(flags, witness, vacuous, "FD'1", fd1_wit is None, wit=fd1_wit, empty=not h2)
-    fd2_bound = gamma * t * n
-    fd2_wit = next((e for e in h1 if fwd[e] > fd2_bound), None)
-    _flag(flags, witness, vacuous, "FD'2", fd2_wit is None, wit=fd2_wit, empty=not h1)
-    pos = final.position()
-    fd3_ok = all(pos[a] < pos[b] for a in h3 for b in h2) and all(
-        pos[a] < pos[b] for a in h2 for b in h1
-    )
-    _flag(flags, witness, vacuous, "FD'3", fd3_ok)
-
-    return PartitionCertificate(
-        parts={"H3": h3, "H2": h2, "H1": h1},
-        ordering=final,
-        property_flags=flags,
-        witness=witness,
-        vacuous=tuple(vacuous),
-        notes=notes,
-    )
+    properties = [
+        ("P'1", p1_wit is None, p1_wit, h.m == 0),
+        ("P'2", p2_wit is None, p2_wit, not h3),
+    ]
+    degree_caps = [
+        ("FD'1", h2, t * h.n - 2),
+        ("FD'2", h1, gamma * t * h.n),
+    ]
+    parts = {"H3": h3, "H2": h2, "H1": h1}
+    return _certify(h, parts, properties, degree_caps, "FD'3", notes)
 
 
 def taken_colours(row: int, col: Mapping[int, int]) -> set[int]:

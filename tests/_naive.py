@@ -128,6 +128,15 @@ def naive_max_complement_matching_size(h: Hypergraph) -> int:
     return naive_max_matching_size(h.m, adj)
 
 
+def naive_first_disjoint_pair(h: Hypergraph) -> tuple[int, int] | None:
+    """The lexicographically first pair i < j of vertex-disjoint edges, or None."""
+    for i in range(h.m):
+        for j in range(i + 1, h.m):
+            if not set(h.edges[i]) & set(h.edges[j]):
+                return i, j
+    return None
+
+
 def naive_validate(h: Hypergraph, col: dict[int, int], lists=None) -> bool:
     masks = h.edge_masks
     for i in range(h.m):
@@ -172,6 +181,46 @@ def naive_forward_degrees(h: Hypergraph, order: list[int] | tuple[int, ...]) -> 
         out[e] = sum(1 for f in seen if masks[e] & masks[f])
         seen.append(e)
     return out
+
+
+def naive_reorder(h: Hypergraph, t, tau, factor, edge_ids=None):
+    """The local search of ``ordering.reorder``, written out literally.
+
+    Start from the size-monotone order (larger edges first, then lower id)
+    with every edge in the prefix.  If the last prefix edge meets at most
+    t*(1-tau)*n other prefix edges, shrink the prefix by one; otherwise pop
+    the first prefix edge that does and insert it just after the last one,
+    then shrink.  If no prefix edge qualifies, stop: case B, with e* the
+    last prefix edge and W the prefix edges whose size s satisfies
+    s = r or r <= s < factor*r (r = |e*|).  Returns (ordering, case, e*, W).
+    """
+    ids = range(h.m) if edge_ids is None else edge_ids
+    order = sorted(ids, key=lambda e: (-len(h.edges[e]), e))
+    bound = t * (1 - Fraction(tau)) * h.n
+
+    def prefix_degree(e: int, k: int) -> int:
+        return sum(1 for f in order[:k] if f != e and set(h.edges[e]) & set(h.edges[f]))
+
+    k = len(order)
+    while k:
+        last = order[k - 1]
+        if prefix_degree(last, k) <= bound:
+            k -= 1
+            continue
+        for i in range(k):
+            if prefix_degree(order[i], k) <= bound:
+                order.insert(k - 1, order.pop(i))
+                k -= 1
+                break
+        else:
+            r = len(h.edges[last])
+            w = tuple(
+                e
+                for e in order[:k]
+                if len(h.edges[e]) == r or r <= len(h.edges[e]) < factor * r
+            )
+            return tuple(order), "B", last, w
+    return tuple(order), "A", None, ()
 
 
 def naive_volume(h: Hypergraph, ids=None) -> Fraction:

@@ -218,7 +218,7 @@ def test_06_matching_colouring_realization():
         if not 1 <= h.m <= 12:
             continue
         accepted += 1
-        matching = maximal_complement_matching(h, "maximum")
+        matching = maximal_complement_matching(h)
         k = h.m - len(matching.pairs)
         lists = uniform_lists(h, k)
         col = colour_from_matching(h, matching, lists)

@@ -246,6 +246,34 @@ class TestExact:
         assert (cert["kind"], cert["lower"], cert["upper"]) == ("time", 3, 8)
 
 
+    def test_zero_time_cap_is_usage_error(self, tmp_path, capsys, fano):
+        path = _write(tmp_path, "fano.hg", fano)
+        assert main(["exact", "--in", path, "--time-cap-ms", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--time-cap-ms" in captured.err
+
+    def test_malformed_env_time_cap_is_usage_error(self, tmp_path, capsys, monkeypatch, fano):
+        monkeypatch.setenv("HYPERCHROM_TIME_CAP_MS", "5s")
+        path = _write(tmp_path, "fano.hg", fano)
+        assert main(["exact", "--in", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "HYPERCHROM_TIME_CAP_MS" in captured.err
+
+    def test_non_positive_env_time_cap_is_usage_error(self, tmp_path, capsys, monkeypatch, fano):
+        path = _write(tmp_path, "fano.hg", fano)
+        for raw in ("0", "-5"):
+            monkeypatch.setenv("HYPERCHROM_TIME_CAP_MS", raw)
+            assert main(["exact", "--in", path]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "HYPERCHROM_TIME_CAP_MS" in captured.err
+
+    def test_env_time_cap_used_without_flag(self, tmp_path, capsys, monkeypatch, fano):
+        monkeypatch.setenv("HYPERCHROM_TIME_CAP_MS", "1234")
+        path = _write(tmp_path, "fano.hg", fano)
+        assert main(["exact", "--in", path]) == 0
+        assert _report(capsys)["parameters"]["time_cap_ms"] == 1234
+
+
 class TestClassify:
     def test_near_pencil(self, tmp_path, capsys):
         path = _write(tmp_path, "np5.hg", near_pencil(5))

@@ -1,5 +1,7 @@
 """Useful pairs, complement matchings, and the extremal colouring ladder."""
 
+import random
+
 import pytest
 
 from hyperchrom import (
@@ -20,7 +22,11 @@ from hyperchrom import (
 )
 from hyperchrom import extremal
 
-from tests._naive import naive_max_complement_matching_size, naive_validate
+from tests._naive import (
+    naive_first_disjoint_pair,
+    naive_max_complement_matching_size,
+    naive_validate,
+)
 from tests.conftest import make_corpus
 
 
@@ -52,11 +58,10 @@ class TestIsTUseful:
 
 class TestMaximalComplementMatching:
     def test_fano_empty(self, fano):
-        assert maximal_complement_matching(fano, "greedy").pairs == ()
-        assert maximal_complement_matching(fano, "maximum").pairs == ()
+        assert maximal_complement_matching(fano).pairs == ()
 
     def test_k4_maximum_is_three(self, k4):
-        cm = maximal_complement_matching(k4, "maximum")
+        cm = maximal_complement_matching(k4)
         assert cm.size == 3
         cm.validate(k4)
 
@@ -64,17 +69,11 @@ class TestMaximalComplementMatching:
         h = Hypergraph(4, [(0, 1), (2, 3)])
         assert maximal_complement_matching(h).pairs == ((0, 1),)
 
-    def test_unknown_strategy(self, fano):
-        with pytest.raises(ValueError):
-            maximal_complement_matching(fano, "speedy")
-
-    def test_maximum_at_least_greedy_on_corpus(self):
-        for h, _t in make_corpus(12, base_seed=5100, n_range=(4, 9)):
-            g = maximal_complement_matching(h, "greedy")
-            m = maximal_complement_matching(h, "maximum")
-            g.validate(h)
-            m.validate(h)
-            assert m.size >= g.size
+    def test_first_disjoint_pair_matches_naive(self, fano, k4):
+        cases = [h for h, _t in make_corpus(20, base_seed=5100, n_range=(4, 9))]
+        cases += [fano, k4, Hypergraph(4, [(0, 1), (2, 3)]), Hypergraph(3, [])]
+        for h in cases:
+            assert extremal._first_disjoint_pair(h) == naive_first_disjoint_pair(h)
 
     def test_validate_rejects_bad_pairs(self, k4):
         with pytest.raises(ValueError):
@@ -87,7 +86,7 @@ class TestMaximalComplementMatching:
 
 class TestColourFromMatching:
     def test_k4_pairs_share_colours(self, k4):
-        cm = maximal_complement_matching(k4, "maximum")
+        cm = maximal_complement_matching(k4)
         lists = {e: [0, 1, 2] for e in range(6)}
         col = colour_from_matching(k4, cm, lists)
         assert isinstance(col, dict)
@@ -106,7 +105,7 @@ class TestColourFromMatching:
         assert col == {0: 5, 1: 5}
 
     def test_small_list_rejected(self, k4):
-        cm = maximal_complement_matching(k4, "maximum")
+        cm = maximal_complement_matching(k4)
         lists = {e: [0, 1, 2] for e in range(6)}
         lists[3] = [0, 1]
         with pytest.raises(ValueError):
@@ -117,7 +116,7 @@ class TestColourFromMatching:
         for h, _t in make_corpus(15, base_seed=5200, n_range=(4, 9)):
             if not 1 <= h.m <= 12:
                 continue
-            cm = maximal_complement_matching(h, "maximum")
+            cm = maximal_complement_matching(h)
             k = h.m - cm.size
             lists = uniform_lists(h, k)
             col = colour_from_matching(h, cm, lists)
@@ -281,6 +280,29 @@ class TestColourExtremal:
         h = Hypergraph(4, [(0, 1), (2, 3)])
         col, _report = colour_extremal(h, 1, {0: [9], 1: [9]})
         assert col == {0: 9, 1: 9}
+
+    def test_rung_two_shares_the_first_disjoint_pair(self):
+        rng = random.Random(5500)
+        seen = 0
+        for h, _t in make_corpus(30, base_seed=5500, n_range=(4, 9)):
+            if h.m < h.n:
+                continue
+            edges = list(h.edges)
+            rng.shuffle(edges)
+            g = Hypergraph(h.n, edges[: h.n])  # e(G) = t*n at t = 1
+            pair = naive_first_disjoint_pair(g)
+            if pair is None:
+                continue
+            lists = uniform_lists(g, g.m - 1)
+            col, report = colour_extremal(g, 1, lists)
+            assert report.rung == "2: one disjoint pair (e = t*n)"
+            assert naive_validate(g, col, lists)
+            classes: dict[int, list[int]] = {}
+            for e, c in col.items():
+                classes.setdefault(c, []).append(e)
+            assert [tuple(sorted(es)) for es in classes.values() if len(es) > 1] == [pair]
+            seen += 1
+        assert seen >= 5
 
     def test_fano_six_lists_proved_impossible(self, fano):
         out, report = colour_extremal(fano, 1, uniform_lists(fano, 6))

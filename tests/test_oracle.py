@@ -252,23 +252,23 @@ class TestExactListColourable:
 class TestMaximumComplementMatching:
     def test_fano_has_none(self, fano):
         # every two lines of the plane meet, so no disjoint pair exists
-        assert maximal_complement_matching(fano, "maximum").pairs == ()
+        assert maximal_complement_matching(fano).pairs == ()
 
     def test_k4_pairs_all_edges(self, k4):
-        cm = maximal_complement_matching(k4, "maximum")
+        cm = maximal_complement_matching(k4)
         assert len(cm.pairs) == 3
         cm.validate(k4)
 
     def test_four_disjoint_edges(self):
         h = Hypergraph(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
-        cm = maximal_complement_matching(h, "maximum")
+        cm = maximal_complement_matching(h)
         assert len(cm.pairs) == 2
 
     def test_matches_naive_on_corpus(self):
         for h, _t in make_corpus(14, base_seed=4400, n_range=(4, 8), t_range=(1, 2)):
             if h.m > 8:
                 continue
-            cm = maximal_complement_matching(h, "maximum")
+            cm = maximal_complement_matching(h)
             cm.validate(h)
             assert len(cm.pairs) == naive_max_complement_matching_size(h)
 

@@ -22,7 +22,12 @@ from hyperchrom import (
 from hyperchrom.exactarith import fourth_root_enclosure
 from hyperchrom.ordering import greedy_extend
 
-from tests._naive import naive_forward_degrees, naive_greedy_colour, naive_volume
+from tests._naive import (
+    naive_forward_degrees,
+    naive_greedy_colour,
+    naive_reorder,
+    naive_volume,
+)
 from tests.conftest import make_corpus
 
 
@@ -69,6 +74,12 @@ class TestForwardDegrees:
             assert forward_degrees(h, order) == naive_forward_degrees(h, list(order.perm))
 
 
+def _w_factor(tau, K):
+    """The W size-ratio cap 1 + 3*x*K^3, x the lower enclosure of tau^(1/4)."""
+    x_lo, _ = fourth_root_enclosure(Fraction(tau))
+    return 1 + 3 * x_lo * Fraction(K) ** 3
+
+
 def _recheck_reorder(h, t, tau, K, out):
     """Re-derive every certificate bit of a ReorderOutcome from scratch."""
     fwd = naive_forward_degrees(h, list(out.ordering.perm))
@@ -96,8 +107,7 @@ def _recheck_reorder(h, t, tau, K, out):
         assert out.certificates["W1_ratio"] == Fraction(max(w_sizes), min(w_sizes))
         vol = naive_volume(h, out.W) if h.n >= 2 else Fraction(0)
         assert out.certificates["W2_volume"] == vol
-        x_lo, _ = fourth_root_enclosure(Fraction(tau))
-        factor = 1 + 3 * x_lo * Fraction(K) ** 3
+        factor = _w_factor(tau, K)
         ratio = out.certificates["W1_ratio"]
         assert out.certificates["w1_ok"] == (ratio == 1 or ratio < factor)
         assert out.certificates["w2_ok"] == (vol >= out.certificates["target_volume"])
@@ -151,6 +161,20 @@ class TestReorder:
             reorder(fano, 0, Fraction(1, 2), 8)
         with pytest.raises(ValueError):
             reorder(fano, 1, Fraction(1, 2), 8, edge_ids=[0, 0])
+
+    def test_matches_naive_on_corpus(self, corpus):
+        for h, t in corpus:
+            for tau, K in ((Fraction(1, 2), 8), (Fraction(1, 20), 2), (Fraction(9, 10), 1)):
+                out = reorder(h, t, tau, K)
+                got = (out.ordering.perm, out.case, out.e_star, out.W)
+                assert got == naive_reorder(h, t, tau, _w_factor(tau, K))
+
+    def test_matches_naive_on_sub_ids(self, fano):
+        h = t_fold(fano, 2)
+        ids = [13, 2, 7, 4, 9, 0]
+        out = reorder(h, 2, Fraction(1, 4), 2, edge_ids=ids)
+        got = (out.ordering.perm, out.case, out.e_star, out.W)
+        assert got == naive_reorder(h, 2, Fraction(1, 4), _w_factor(Fraction(1, 4), 2), ids)
 
     def test_certificates_honest_on_corpus(self, corpus):
         for h, t in corpus[:14]:
@@ -239,13 +263,6 @@ class TestPartitionStability:
         assert cert.property_flags == _stability_flags(
             h, 2, Fraction(9, 20), Fraction(1, 10), cert
         )
-
-    def test_probe_notes(self, fano):
-        h = t_fold(fano, 2)
-        yes = partition_stability(h, 2, Fraction(1, 100), Fraction(1, 10), probe=14)
-        assert yes.notes["probe"] == 14 and yes.notes["probe_ok"] is True
-        no = partition_stability(h, 2, Fraction(1, 100), Fraction(1, 10), probe=13)
-        assert no.notes["probe_ok"] is False
 
     def test_parameter_domain(self, fano):
         with pytest.raises(ValueError):

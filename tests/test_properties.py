@@ -22,10 +22,14 @@ from hyperchrom import (
     greedy_list_colour,
     is_isomorphic,
     neighbourhoods,
+    reorder,
     restrict_and_induce,
     validate_colouring,
     volume,
 )
+from hyperchrom.exactarith import fourth_root_enclosure
+
+from tests._naive import naive_reorder
 
 ALPHA_GRID = (Fraction(0), Fraction(1, 4), Fraction(1, 2))
 TAU_GRID = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
@@ -143,6 +147,19 @@ def test_greedy_succeeds_with_forward_degree_plus_one(h, data):
     got = greedy_list_colour(h, lists, ordering)
     assert not isinstance(got, ColouringFailure)
     assert validate_colouring(h, got, lists).valid
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    h=hypergraphs(max_m=12),
+    t=st.integers(min_value=1, max_value=3),
+    tau=st.sampled_from(TAU_GRID),
+    K=st.sampled_from((1, 2, 8)),
+)
+def test_reorder_is_the_documented_local_search(h, t, tau, K):
+    out = reorder(h, t, tau, K)
+    factor = 1 + 3 * fourth_root_enclosure(tau)[0] * K**3
+    assert (out.ordering.perm, out.case, out.e_star, out.W) == naive_reorder(h, t, tau, factor)
 
 
 @settings(max_examples=50, deadline=None)
