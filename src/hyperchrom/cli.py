@@ -381,6 +381,7 @@ def _check(checks: list, name: str, ok: bool | None, detail: str = "") -> None:
 
 def _cmd_verify(args) -> int:
     started = time.monotonic()
+    time_cap_ms = _default_time_cap()  # a bad value is a usage error at any size
     h, digest = _read_input(args.input)
     t = args.t
     checks: list[dict] = []
@@ -439,7 +440,7 @@ def _cmd_verify(args) -> int:
 
     if 1 <= h.m <= 10:
         chi = exact_chromatic_index(
-            h, OracleBudget(max_edges=10, time_cap_ms=_default_time_cap())
+            h, OracleBudget(max_edges=10, time_cap_ms=time_cap_ms)
         )
         if isinstance(chi, BudgetExceeded):
             _check(checks, "chromatic-index-bounds", None, chi.detail)

@@ -26,6 +26,7 @@ from .hypercore import (
     normalize_lists,
     predicates,
 )
+from .ordering import RankedLists, ranked_list
 
 __all__ = [
     "ComplementMatching",
@@ -571,14 +572,23 @@ def colour_extremal(
         return {}, report("empty")
 
     def all_distinct() -> dict[int, int] | ColouringFailure:
+        # each edge takes the smallest colour of its list no earlier edge
+        # took; colours only get used, so in each distinct list that colour
+        # never moves back, and one cursor per list walks it once
         used: set[int] = set()
         col: dict[int, int] = {}
-        for i in range(h.m):
-            opts = allowed[i] - used
-            if not opts:
+        ranked: RankedLists = {}
+        cursor: dict[frozenset[int], int] = {}
+        for i, cs in allowed.items():
+            ordered, _ = ranked_list(cs, ranked)
+            k = cursor.get(cs, 0)
+            while k < len(ordered) and ordered[k] in used:
+                k += 1
+            cursor[cs] = k
+            if k == len(ordered):
                 return ColouringFailure("all-distinct", stuck_edge=i)
-            col[i] = min(opts)
-            used.add(col[i])
+            col[i] = ordered[k]
+            used.add(ordered[k])
         return col
 
     if h.m < tn:

@@ -12,10 +12,11 @@ splice the parts into three-part orderings with certified properties.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
-from typing import Callable, Iterable, Mapping
+from typing import AbstractSet, Iterable, Mapping
 
 from .exactarith import as_fraction, at_least_scaled_sqrt, fourth_root_enclosure
 from .hypercore import ColouringFailure, Hypergraph, mask_bits, normalize_lists, volume
@@ -30,6 +31,8 @@ __all__ = [
     "partition_stability",
     "partition_extremal",
     "taken_colours",
+    "ranked_list",
+    "free_colour",
     "greedy_extend",
     "greedy_list_colour",
 ]
@@ -376,10 +379,57 @@ def partition_extremal(
 def taken_colours(row: int, col: Mapping[int, int]) -> set[int]:
     """The colours ``col`` gives the edges whose bits are set in ``row``.
 
-    Pass a line-graph row masked by the coloured edges to get the colours
-    an edge may not take.
+    Pass an edge's line-graph row masked by some coloured edges to get the
+    colours of those that meet the edge; the pipeline builds its
+    forbidden-colour maps this way.  ``greedy_extend`` reads the same set
+    off vertex palettes instead.
     """
     return {col[f] for f in mask_bits(row)}
+
+
+RankedLists = dict[frozenset[int], tuple[list[int], dict[int, int]]]
+
+
+def ranked_list(cs: frozenset[int], ranked: RankedLists) -> tuple[list[int], dict[int, int]]:
+    """``cs`` sorted ascending, with its colour -> rank map.
+
+    ``ranked`` caches the pair by value, so equal lists are sorted once per
+    cache, however many edges carry them.
+    """
+    got = ranked.get(cs)
+    if got is None:
+        ordered = sorted(cs)
+        got = ranked[cs] = ordered, {c: i for i, c in enumerate(ordered)}
+    return got
+
+
+def free_colour(
+    cs: frozenset[int],
+    taken: AbstractSet[int],
+    ranked: RankedLists,
+    rng: random.Random | None = None,
+) -> int | None:
+    """A colour of ``cs`` outside ``taken``, or None when there is none.
+
+    Without ``rng`` this is the smallest free colour; with it, the free
+    colour at a uniformly drawn rank.  No copy of ``cs`` is made: the k-th
+    free colour is found in ``ranked_list(cs, ranked)`` by stepping over
+    the sorted ranks of the taken colours that lie in the list.
+    """
+    ordered, rank = ranked_list(cs, ranked)
+    hits = sorted(map(rank.__getitem__, cs.intersection(taken)))
+    free = len(ordered) - len(hits)
+    if not free:
+        return None
+    # choice(seq) is seq[_randbelow(len(seq))] and randrange(n) is
+    # _randbelow(n) (CPython 3.10-3.12), so this draws the colour that
+    # rng.choice(sorted(cs - taken)) would, from the same random bits
+    k = rng.randrange(free) if rng is not None else 0
+    for p in hits:
+        if p > k:
+            break
+        k += 1
+    return ordered[k]
 
 
 def greedy_extend(
@@ -387,22 +437,37 @@ def greedy_extend(
     order: Iterable[int],
     lists: Mapping[int, frozenset[int]],
     col: dict[int, int],
-    pick: Callable[[frozenset[int]], int] = min,
+    rng: random.Random | None = None,
 ) -> int | None:
-    """Colour the edges of ``order`` one at a time into ``col``.
+    """Colour the edges of ``order`` (distinct, none yet in ``col``) one at a
+    time into ``col``.
 
-    Each edge takes ``pick`` of its list minus the colours of the coloured
-    edges it meets (``col`` may arrive partly filled).  Returns the first
-    edge left without a colour, or None when every edge got one.
+    ``palette[v]`` holds the colours of the coloured edges through vertex v,
+    seeded from ``col`` (which may arrive partly filled).  Two edges meet
+    exactly when they share a vertex, so an edge may not take the union of
+    its vertices' palettes; it takes ``free_colour`` of its list minus that
+    union: the smallest free colour, or with ``rng`` a uniformly random one
+    (the colour ``rng.choice(sorted(free))`` gives).  Each distinct list is
+    sorted once per call.  Returns the first edge left without a colour, or
+    None when every edge got one.
     """
-    rows = h.view.rows
-    coloured = sum(1 << f for f in col)
+    order = list(order)
+    if not order:
+        return None
+    edges = h.edges
+    palette: list[set[int]] = [set() for _ in range(h.n)]
+    for f, c in col.items():
+        for v in edges[f]:
+            palette[v].add(c)
+    ranked: RankedLists = {}
     for e in order:
-        opts = lists[e] - taken_colours(rows[e] & coloured, col)
-        if not opts:
+        verts = edges[e]
+        c = free_colour(lists[e], set().union(*[palette[v] for v in verts]), ranked, rng)
+        if c is None:
             return e
-        col[e] = pick(opts)
-        coloured |= 1 << e
+        col[e] = c
+        for v in verts:
+            palette[v].add(c)
     return None
 
 

@@ -142,6 +142,24 @@ def split_by_size(h: Hypergraph, r0: int, r1: int) -> SizeSplit:
     return SizeSplit(tuple(sml), tuple(med), tuple(lrg), r0, r1)
 
 
+def _per_list(
+    lists: Mapping[int, frozenset[int]],
+    ids: Iterable[int],
+    op: Callable[[frozenset[int]], frozenset[int]],
+) -> dict[int, frozenset[int]]:
+    """``{e: op(lists[e]) for e in ids}``, with ``op`` run once per distinct
+    list and its result shared by every edge that has that list."""
+    done: dict[frozenset[int], frozenset[int]] = {}
+    out = {}
+    for e in ids:
+        cs = lists[e]
+        got = done.get(cs)
+        if got is None:
+            got = done[cs] = op(cs)
+        out[e] = got
+    return out
+
+
 def _below(x: float, p: int, q: int) -> bool:
     """Exactly x < p/q, for a float x in [0, 1) and integers p >= 0, q > 0."""
     num, den = x.as_integer_ratio()
@@ -167,8 +185,9 @@ def reserve_colours(
         raise ValueError("gamma must lie in [0, 1]")
     if not 0 < xi < 1:
         raise ValueError("xi must lie in (0, 1)")
-    norm = {e: frozenset(cs) for e, cs in lists.items()}
-    universe = sorted(frozenset().union(*norm.values())) if norm else []
+    # the window and the universe depend only on the distinct lists
+    distinct = {frozenset(cs) for cs in lists.values()}
+    universe = sorted(frozenset().union(*distinct))
     # with gamma = gp/gq and xi = xp/xq the window, scaled by den = gq*xq,
     # reads lo*|C| <= den*|R ∩ C| <= hi*|C| in integers
     gp, gq, xp, xq = gamma.numerator, gamma.denominator, xi.numerator, xi.denominator
@@ -178,7 +197,7 @@ def reserve_colours(
         reserved = frozenset(c for c in universe if _below(rng.random(), gp, gq))
         if all(
             lo * len(cs) <= len(reserved & cs) * den <= hi * len(cs)
-            for cs in norm.values()
+            for cs in distinct
         ):
             return ReservedColours(reserved, gamma, xi, seed, attempt)
     return ColouringFailure(
@@ -224,7 +243,7 @@ def colour_small(
         order = ids[:]
         rng.shuffle(order)
         col: dict[int, int] = {}
-        if greedy_extend(h, order, allowed, col, lambda opts: rng.choice(sorted(opts))) is None:
+        if greedy_extend(h, order, allowed, col, rng) is None:
             return col
     col = {}
     stuck = greedy_extend(
@@ -378,7 +397,7 @@ def _run_script(
         got = colour_small(
             h,
             split.sml,
-            {e: allowed[e] - reserved for e in split.sml} if reserved else allowed,
+            _per_list(allowed, split.sml, lambda cs: cs - reserved) if reserved else allowed,
             {e: taken_colours(rows[e] & lrg_coloured, col) for e in split.sml},
             seed=params.seed + sml_seed,
         )
@@ -427,7 +446,7 @@ def _stability_middle(
         w_col, w_report = colour_sparse_block(
             h,
             part["W"],
-            {e: allowed[e] - reserved for e in part["W"]},
+            _per_list(allowed, part["W"], lambda cs: cs - reserved),
             t=t,
             zeta=params.sigma,
             alpha=params.delta,
@@ -441,15 +460,13 @@ def _stability_middle(
             " ".join(f"{k}={v}" for k, v in w_report.items()),
             colours_used=len(set(w_col.values())),
         )
-        stuck = greedy_extend(
-            h, part["H2"], {e: allowed[e] & reserved for e in part["H2"]}, col
-        )
+        h2_lists = _per_list(allowed, part["H2"], lambda cs: cs & reserved)
+        stuck = greedy_extend(h, part["H2"], h2_lists, col)
         if stuck is not None:
             return s.fail("lrg-H2", "reserved list exhausted", stuck)
         s.record("lrg-H2", "ok", f"{len(part['H2'])} edges from the reserve")
-        stuck = greedy_extend(
-            h, part["H1"], {e: allowed[e] - reserved for e in part["H1"]}, col
-        )
+        h1_lists = _per_list(allowed, part["H1"], lambda cs: cs - reserved)
+        stuck = greedy_extend(h, part["H1"], h1_lists, col)
         if stuck is not None:
             return s.fail("lrg-H1", "list exhausted", stuck)
         s.record("lrg-H1", "ok", f"{len(part['H1'])} edges")
@@ -461,10 +478,11 @@ def _stability_middle(
         return None
     rows = h.view.rows
     coloured = sum(1 << f for f in col)
+    med_lists = _per_list(allowed, split.med, lambda cs: cs & reserved)
     got = colour_small(
         h,
         split.med,
-        {e: allowed[e] & reserved for e in split.med},
+        med_lists,
         {e: taken_colours(rows[e] & coloured, col) for e in split.med},
         seed=params.seed + 1,
     )
@@ -474,7 +492,7 @@ def _stability_middle(
     s.record(
         "med",
         "ok",
-        _kahn_note(h, split.med, allowed, reserved, params.eps, t),
+        _kahn_note(h, split.med, med_lists, params.eps, t),
         colours_used=len(set(got.values())),
         seed=params.seed + 1,
     )
@@ -484,17 +502,17 @@ def _stability_middle(
 def _kahn_note(
     h: Hypergraph,
     ids: tuple[int, ...],
-    allowed: Mapping[int, frozenset[int]],
-    reserved: frozenset[int],
+    lists: Mapping[int, frozenset[int]],
     eps: Fraction,
     t: int,
 ) -> str:
-    """Informational only: would the nibble's list-size premise hold here?"""
+    """Informational only: would the nibble's list-size premise hold here?
+    ``lists`` are the block's lists, C∩R."""
     if not ids:
         return "kahn_premise_ok=vacuous"
     rows, block = h.view.rows, sum(1 << e for e in ids)
     max_deg = max((rows[e] & block).bit_count() for e in ids)
-    min_list = min(len(allowed[e] & reserved) for e in ids)
+    min_list = min(len(lists[e]) for e in ids)
     ok = min_list >= (1 + eps) * max_deg
     return f"kahn_premise_ok={ok} (min_list={min_list}, max_block_degree={max_deg})"
 
@@ -563,10 +581,8 @@ def _extremal_middle(
     if not mid_large:
         return None
     h, allowed, params = s.h, s.allowed, s.params
-    med_set = set(split.med)
-    residual = {
-        e: (allowed[e] & reserved if e in med_set else allowed[e]) for e in mid_large
-    }
+    residual = {e: allowed[e] for e in split.lrg}
+    residual.update(_per_list(allowed, split.med, lambda cs: cs & reserved))
     part = _partition(
         s, "partition", mid_large, partition_extremal, params.delta, params.gamma, split.r0
     )

@@ -267,6 +267,47 @@ def naive_greedy_colour(h: Hypergraph, order, lists, precoloured=None):
     return col, None
 
 
+def naive_greedy_extend(h: Hypergraph, order, lists, col, pick=min):
+    """The list greedy as it read before vertex palettes, written out literally.
+
+    Each edge's line-graph row (built here by pairwise intersection) is
+    masked by the coloured edges and walked bit by bit for the taken colours;
+    the edge takes ``pick(lists[e] - taken)``.  Fills ``col`` in place and
+    returns the first edge left without a colour, or None.
+    """
+    vsets = [set(e) for e in h.edges]
+    rows = [
+        sum(1 << f for f in range(h.m) if f != e and vsets[e] & vsets[f])
+        for e in range(h.m)
+    ]
+    coloured = sum(1 << f for f in col)
+    for e in order:
+        mask, taken, f = rows[e] & coloured, set(), 0
+        while mask:
+            if mask & 1:
+                taken.add(col[f])
+            mask >>= 1
+            f += 1
+        opts = lists[e] - taken
+        if not opts:
+            return e
+        col[e] = pick(opts)
+        coloured |= 1 << e
+    return None
+
+
+def naive_all_distinct(lists, m: int):
+    """Give edges 0..m-1 pairwise different colours, each the smallest unused
+    one of its list; returns (colouring, first stuck edge or None)."""
+    col: dict[int, int] = {}
+    for i in range(m):
+        free = sorted(set(lists[i]) - set(col.values()))
+        if not free:
+            return col, i
+        col[i] = free[0]
+    return col, None
+
+
 def naive_reserve_colours(lists, gamma, xi, seed: int):
     """The reservation draw with every comparison in ``Fraction`` arithmetic.
 

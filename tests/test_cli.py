@@ -316,6 +316,23 @@ class TestVerify:
         rep = _report(capsys)
         assert rep["outcome"] == "holds"
 
+    def test_bad_env_time_cap_is_usage_error_at_any_size(self, tmp_path, capsys, monkeypatch):
+        # PG(2,4) has 21 edges, more than the oracle check ever takes
+        big = _write(tmp_path, "pg4.hg", projective_plane(4))
+        one = _write(tmp_path, "one.hg", Hypergraph(3, [(0, 1, 2)]))
+        for raw in ("abc", "0", "-5"):
+            monkeypatch.setenv("HYPERCHROM_TIME_CAP_MS", raw)
+            for path in (big, one):
+                assert main(["verify", "--in", path, "--t", "1"]) == 2
+                captured = capsys.readouterr()
+                assert captured.out == "" and "HYPERCHROM_TIME_CAP_MS" in captured.err
+
+    def test_good_env_time_cap_on_large_instance(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("HYPERCHROM_TIME_CAP_MS", "1234")
+        path = _write(tmp_path, "pg4.hg", projective_plane(4))
+        assert main(["verify", "--in", path, "--t", "1"]) == 0
+        assert _report(capsys)["outcome"] == "holds"
+
 
 class TestSweep:
     def test_small_sweep(self, capsys):

@@ -23,6 +23,7 @@ from hyperchrom import (
 from hyperchrom import extremal
 
 from tests._naive import (
+    naive_all_distinct,
     naive_first_disjoint_pair,
     naive_max_complement_matching_size,
     naive_validate,
@@ -244,6 +245,31 @@ class TestColourExtremal:
         assert validate_colouring(fano, col, lists=lists).valid
         assert len(set(col.values())) == 7
         assert report.rung == "2: all-distinct (e = t*n, intersecting)"
+
+    def test_all_distinct_rungs_match_naive(self, fano):
+        # rung 1 (e < tn) and rung 2 on intersecting instances with e = tn
+        # give every edge the smallest colour of its list no earlier edge took
+        rng = random.Random(7600)
+        cases = [(h, t) for h, t in make_corpus(30, base_seed=7600) if h.m < t * h.n]
+        cases += [(fano, 1), (t_fold(fano, 2), 2), (near_pencil(6), 1)]
+        stuck = coloured = 0
+        for h, t in cases:
+            for _ in range(3):
+                pool = range(-4, rng.randint(h.m // 2, h.m + 4))
+                lists = {
+                    e: frozenset(rng.sample(pool, rng.randint(1, len(pool))))
+                    for e in range(h.m)
+                }
+                want, stuck_at = naive_all_distinct(lists, h.m)
+                got, report = colour_extremal(h, t, lists, exact_budget=0)
+                if stuck_at is None:
+                    coloured += 1
+                    assert got == want
+                    assert report.rung.startswith(("1:", "2: all-distinct"))
+                else:
+                    stuck += 1
+                    assert report.attempts[0].endswith(f"stuck at edge {stuck_at}")
+        assert stuck and coloured
 
     def test_fano_minus_line_six_colours(self, fano):
         h = Hypergraph(7, fano.edges[:6])

@@ -25,6 +25,7 @@ from hyperchrom.ordering import greedy_extend
 from tests._naive import (
     naive_forward_degrees,
     naive_greedy_colour,
+    naive_greedy_extend,
     naive_reorder,
     naive_volume,
 )
@@ -420,6 +421,57 @@ class TestGreedyExtend:
             col = dict(pre)
             stuck = greedy_extend(h, order[cut:], lists, col)
             assert (col, stuck) == naive_greedy_colour(h, order[cut:], lists, pre)
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_matches_per_edge_list_greedy_on_corpus(self, corpus, shared):
+        # one list object for every edge (as uniform:k gives) or a list per
+        # edge; colours reach below zero; half the cases start from a partly
+        # filled colouring; both the smallest-colour and the seeded pick
+        rng = random.Random(7500 + shared)
+
+        def draw(pool):
+            return frozenset(rng.sample(pool, rng.randint(1, len(pool))))
+
+        stuck = 0
+        for h, _t in corpus:
+            for _ in range(3):
+                order = list(range(h.m))
+                rng.shuffle(order)
+                cut = rng.choice((0, rng.randint(0, h.m)))
+                pool = range(-6, rng.randint(-2, 12))
+                one = draw(pool)
+                lists = {e: one if shared else draw(pool) for e in range(h.m)}
+                pre = {e: rng.choice(sorted(lists[e])) for e in order[:cut]}
+                seed = rng.randrange(1 << 32)
+                for seeded in (False, True):
+                    col, want_col = dict(pre), dict(pre)
+                    if seeded:
+                        mine, theirs = random.Random(seed), random.Random(seed)
+                        got = greedy_extend(h, order[cut:], lists, col, mine)
+                        want = naive_greedy_extend(
+                            h, order[cut:], lists, want_col, lambda o: theirs.choice(sorted(o))
+                        )
+                        # the same random bits were consumed
+                        assert mine.random() == theirs.random()
+                    else:
+                        got = greedy_extend(h, order[cut:], lists, col)
+                        want = naive_greedy_extend(h, order[cut:], lists, want_col)
+                    assert (got, col) == (want, want_col)
+                    stuck += got is not None
+        assert stuck  # some cases end on a stuck edge
+
+    def test_empty_order_changes_nothing(self, fano):
+        rng = random.Random(3)
+        col = {0: 5, 1: 6}
+        assert greedy_extend(fano, [], {}, col, rng) is None
+        assert col == {0: 5, 1: 6}
+        assert rng.random() == random.Random(3).random()
+
+    def test_stuck_edge_left_uncoloured(self, fano):
+        lists = {e: frozenset({-1, 4}) for e in range(7)}
+        col = {}
+        assert greedy_extend(fano, range(7), lists, col) == 2
+        assert col == {0: -1, 1: 4}
 
     def test_list_colour_matches_naive(self, corpus):
         rng = random.Random(7400)

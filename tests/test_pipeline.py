@@ -83,6 +83,28 @@ class TestPipelineParams:
             PipelineParams(exact_budget=-1)
 
 
+class TestPerList:
+    def test_one_op_per_distinct_list(self):
+        rng = random.Random(7700)
+        one = frozenset(range(40))
+        lists = {e: one for e in range(10)}
+        lists.update({e: frozenset(rng.sample(range(-5, 40), 12)) for e in range(10, 20)})
+        lists[20] = frozenset(sorted(lists[10]))  # equal to edge 10's list, another object
+        reserved = frozenset(range(0, 40, 3))
+        calls = []
+
+        def op(cs):
+            calls.append(cs)
+            return cs & reserved
+
+        ids = [20, *range(19, -1, -1)]
+        got = pipeline._per_list(lists, ids, op)
+        assert got == {e: lists[e] & reserved for e in ids}
+        assert list(got) == ids
+        assert len(calls) == len(set(calls)) == 11
+        assert all(got[e] is got[0] for e in range(10)) and got[10] is got[20]
+
+
 class TestReserveColours:
     def test_gamma_zero_reserves_nothing(self):
         lists = {e: range(10) for e in range(3)}
@@ -146,6 +168,44 @@ class TestReserveColours:
                 assert isinstance(got, ColouringFailure)
             else:
                 assert (got.colours, got.retries_used) == want
+
+    def test_shared_and_repeated_lists_match_reference(self):
+        # uniform:k gives every edge one list object; equal lists may also
+        # come as separate objects or as ranges.  The window is checked once
+        # per distinct list here and once per edge in the reference.
+        rates = [
+            (Fraction(1, 25), Fraction(1, 100)),
+            (Fraction(1, 4), Fraction(1, 16)),
+            (Fraction(3, 10), Fraction(1, 20)),
+        ]
+        rng = random.Random(7200)
+        seen = set()
+        for trial in range(36):
+            k = rng.randint(5, 120)
+            one = frozenset(range(-3, k))
+            m = rng.randint(1, 30)
+            if trial % 3 == 0:
+                lists = {e: one for e in range(m)}
+            elif trial % 3 == 1:
+                lists = {e: range(-3, k) if e % 2 else frozenset(sorted(one)) for e in range(m)}
+            else:  # mostly shared, some edges with a list of their own
+                lists = {
+                    e: one
+                    if rng.random() < 0.8
+                    else frozenset(rng.sample(range(-3, k + 5), rng.randint(1, k)))
+                    for e in range(m)
+                }
+            gamma, xi = rates[trial // 3 % len(rates)]
+            seed = rng.randrange(1000)
+            got = reserve_colours(lists, gamma, xi, seed)
+            want = naive_reserve_colours(lists, gamma, xi, seed)
+            if want is None:
+                assert isinstance(got, ColouringFailure)
+                seen.add("failed")
+            else:
+                assert (got.colours, got.retries_used) == want
+                seen.add("retried" if want[1] else "first draw")
+        assert seen == {"failed", "retried", "first draw"}
 
     def test_every_draw_failing_matches_reference(self):
         lists = {e: range(9) for e in range(2)}

@@ -28,8 +28,9 @@ from hyperchrom import (
     volume,
 )
 from hyperchrom.exactarith import fourth_root_enclosure
+from hyperchrom.ordering import greedy_extend
 
-from tests._naive import naive_reorder
+from tests._naive import naive_greedy_extend, naive_reorder
 
 ALPHA_GRID = (Fraction(0), Fraction(1, 4), Fraction(1, 2))
 TAU_GRID = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
@@ -147,6 +148,34 @@ def test_greedy_succeeds_with_forward_degree_plus_one(h, data):
     got = greedy_list_colour(h, lists, ordering)
     assert not isinstance(got, ColouringFailure)
     assert validate_colouring(h, got, lists).valid
+
+
+@settings(max_examples=100, deadline=None)
+@given(h=hypergraphs(max_m=10), data=st.data())
+def test_greedy_extend_is_the_per_edge_list_greedy(h, data):
+    order = data.draw(st.permutations(range(h.m)))
+    cut = data.draw(st.integers(min_value=0, max_value=h.m))
+    lo = data.draw(st.integers(min_value=-8, max_value=3))
+    colour_lists = st.frozensets(st.integers(lo, lo + 8), min_size=1, max_size=9)
+    if data.draw(st.booleans(), label="shared"):
+        one = data.draw(colour_lists)
+        lists = {e: one for e in range(h.m)}
+    else:
+        lists = {e: data.draw(colour_lists) for e in range(h.m)}
+    pre = {e: data.draw(st.sampled_from(sorted(lists[e]))) for e in order[:cut]}
+    seed = data.draw(st.none() | st.integers(min_value=0, max_value=2**32))
+    col, want_col = dict(pre), dict(pre)
+    if seed is None:
+        got = greedy_extend(h, order[cut:], lists, col)
+        want = naive_greedy_extend(h, order[cut:], lists, want_col)
+    else:
+        mine, theirs = random.Random(seed), random.Random(seed)
+        got = greedy_extend(h, order[cut:], lists, col, mine)
+        want = naive_greedy_extend(
+            h, order[cut:], lists, want_col, lambda o: theirs.choice(sorted(o))
+        )
+        assert mine.random() == theirs.random()
+    assert (got, col) == (want, want_col)
 
 
 @settings(max_examples=80, deadline=None)
