@@ -170,14 +170,15 @@ def classify_extremal(h: Hypergraph, t: int) -> Classification:
     if not ib["tight"]:
         return Classification(NotExtremal(), h.m, ib["bound"], None)
 
-    stats = degree_stats(h)
+    deg = h.view.degrees
+    covered = 0
+    for mask in h.edge_masks:
+        covered |= mask
     for v in range(h.n):
-        if stats.degree[v] < 1:
+        if deg[v] < 1:
             continue
         closed = h.view.closed_masks[v]
-        if t * closed.bit_count() != h.m:
-            continue
-        if any(stats.degree[u] >= 1 for u in range(h.n) if not closed >> u & 1):
+        if t * closed.bit_count() != h.m or covered & ~closed:
             continue
         kind = _classify_on_support(h, t, closed)
         if kind is not None:
@@ -213,7 +214,7 @@ def _classify_on_support(
     sizes = {len(e) for e in base.edges}
     if len(sizes) == 1:
         k = sizes.pop() - 1
-        deg = degree_stats(base).degree
+        deg = base.view.degrees
         if (
             k >= 2
             and n0 == k * k + k + 1
@@ -222,12 +223,17 @@ def _classify_on_support(
         ):
             return TFoldProjectivePlane(k, t)
 
-    if n0 >= 3:
-        base_sets = {frozenset(e) for e in base.edges}
-        for apex in covered:
-            rim = [x for x in covered if x != apex]
-            expected = {frozenset(rim)} | {frozenset((apex, x)) for x in rim}
-            if base_sets == expected and base.m == n0:
+    # a near-pencil is a rim of n0 - 1 vertices plus the spokes {apex, x}
+    # for x on the rim.  Two rims would share n0 - 2 vertices, so for
+    # n0 >= 4 a linear base has at most one; the triangle's three edges
+    # are all rims, and any of them gives the same expected edge set.
+    if n0 >= 3 and base.m == n0:
+        masks = set(base.edge_masks)
+        rim = next((mask for mask in masks if mask.bit_count() == n0 - 1), None)
+        if rim is not None:
+            apex = support & ~rim  # one bit: support is the covered set
+            expected = {rim} | {apex | 1 << x for x in covered if rim >> x & 1}
+            if masks == expected:
                 return TFoldNearPencil(t, remark)
     return None
 

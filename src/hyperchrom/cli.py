@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import os
 import random
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import __version__  # noqa: F401  (re-exported metadata)
@@ -494,6 +494,9 @@ def _cmd_sweep(args) -> int:
     started = time.monotonic()
     tasks = [(i, (args.seed * 1_000_003 + i) & ((1 << 64) - 1)) for i in range(args.count)]
     if args.jobs > 1:
+        # imported here so that no other call loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_sweep_one, tasks))
     else:
@@ -529,7 +532,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every call.
+
+    Sharing is safe: ``parse_args`` fills a fresh namespace per call, every
+    default is immutable, and usage errors and ``--help`` go to whatever
+    ``sys.stdout`` / ``sys.stderr`` is current when they are printed.
+    """
     parser = argparse.ArgumentParser(
         prog="hyperchrom",
         description="Hypergraph edge-colouring toolkit: generators, orderings, "

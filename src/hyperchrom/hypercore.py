@@ -207,7 +207,7 @@ class LineGraphView:
     edges through vertex v; ``rows[i]`` is the bitmask of the edges other
     than ``i`` that meet edge ``i`` (parallel copies included);
     ``closed_masks[v]`` is the bitmask of the closed vertex neighbourhood
-    N[v].
+    N[v]; ``degrees[v]`` is the degree of v.
     """
 
     def __init__(self, n: int, edges: tuple[tuple[int, ...], ...], masks: tuple[int, ...]):
@@ -223,6 +223,11 @@ class LineGraphView:
             for v in e:
                 incident[v] |= 1 << i
         return tuple(incident)
+
+    @cached_property
+    def degrees(self) -> tuple[int, ...]:
+        """``degrees[v]``: the number of edges through vertex v."""
+        return tuple(star.bit_count() for star in self.incidence)
 
     @cached_property
     def line_graph(self) -> Graph:
@@ -254,8 +259,7 @@ class LineGraphView:
         # slices (at_least[k]: those met more than k times), so a vertex
         # costs O(d(u) * (c + 1)) steps for maximum codegree c; a vertex
         # whose degree cannot beat the best so far is skipped
-        incidence, masks = self.incidence, self._masks
-        deg = tuple(star.bit_count() for star in incidence)
+        incidence, masks, deg = self.incidence, self._masks, self.degrees
         best = 0
         for u, star in enumerate(incidence):
             if deg[u] <= best:
@@ -281,7 +285,7 @@ class LineGraphView:
         # ``meeting`` once if they meet at all, so the two agree iff no two
         # edges share two vertices
         rows = self.rows
-        shared = sum(comb(star.bit_count(), 2) for star in self.incidence)
+        shared = sum(comb(d, 2) for d in self.degrees)
         meeting = sum(row.bit_count() for row in rows) // 2
         full = (1 << len(self._edges)) - 1
         return Predicates(
@@ -293,12 +297,14 @@ class LineGraphView:
 def degree_stats(h: Hypergraph) -> DegreeStats:
     """Vertex degrees and pairwise codegrees, with their maxima.
 
-    Degrees are popcounts of the cached stars (edge bitmasks per vertex).
-    The maximum codegree counts, for each vertex, the other vertices of its
-    edges in bit slices, in O(sum |e| * (c + 1)) steps for maximum codegree
-    c, so neither builds the codegree map.  That map (read-only) lists only
-    pairs ``(u, v)`` with ``u < v`` covered by at least one edge; absent
-    pairs have codegree 0.  It is built on its first read.
+    Degrees are ``h.view.degrees``, the popcounts of the cached stars (edge
+    bitmasks per vertex); callers that need only degrees read those and
+    skip the codegree count.  The maximum codegree counts, for each vertex,
+    the other vertices of its edges in bit slices, in O(sum |e| * (c + 1))
+    steps for maximum codegree c, so neither builds the codegree map.  That
+    map (read-only) lists only pairs ``(u, v)`` with ``u < v`` covered by at
+    least one edge; absent pairs have codegree 0.  It is built on its first
+    read.
     """
     return h.view.degree_stats
 

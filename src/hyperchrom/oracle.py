@@ -91,7 +91,7 @@ def exact_chromatic_index(
     if h.m == 0:
         return 0
     adj = list(h.view.rows)
-    delta = h.view.degree_stats.max_degree
+    delta = max(h.view.degrees)
     chi, _col, completed = _kernel_py.solve_chromatic(adj, budget.time_cap_ms, lower=delta)
     if not completed:
         return BudgetExceeded(

@@ -19,7 +19,7 @@ from math import floor
 from typing import AbstractSet, Iterable, Mapping
 
 from .exactarith import as_fraction, at_least_scaled_sqrt, fourth_root_enclosure
-from .hypercore import ColouringFailure, Hypergraph, mask_bits, normalize_lists, volume
+from .hypercore import ColouringFailure, Hypergraph, normalize_lists, volume
 
 __all__ = [
     "EdgeOrdering",
@@ -30,7 +30,7 @@ __all__ = [
     "reorder",
     "partition_stability",
     "partition_extremal",
-    "taken_colours",
+    "forbidden_colours",
     "ranked_list",
     "free_colour",
     "greedy_extend",
@@ -376,15 +376,28 @@ def partition_extremal(
     return _certify(h, parts, properties, degree_caps, "FD'3", notes)
 
 
-def taken_colours(row: int, col: Mapping[int, int]) -> set[int]:
-    """The colours ``col`` gives the edges whose bits are set in ``row``.
+def vertex_palettes(h: Hypergraph, col: Mapping[int, int]) -> list[set[int]]:
+    """``palette[v]``: the colours ``col`` gives the edges through vertex v."""
+    edges = h.edges
+    palette: list[set[int]] = [set() for _ in range(h.n)]
+    for f, c in col.items():
+        for v in edges[f]:
+            palette[v].add(c)
+    return palette
 
-    Pass an edge's line-graph row masked by some coloured edges to get the
-    colours of those that meet the edge; the pipeline builds its
-    forbidden-colour maps this way.  ``greedy_extend`` reads the same set
-    off vertex palettes instead.
+
+def forbidden_colours(
+    h: Hypergraph, edge_ids: Iterable[int], col: Mapping[int, int]
+) -> dict[int, set[int]]:
+    """For each edge of ``edge_ids`` (none of them in ``col``), the colours
+    ``col`` gives the edges that meet it.
+
+    Two edges meet exactly when they share a vertex, so this is the union
+    of the edge's vertex palettes; the pipeline builds its forbidden-colour
+    maps this way.
     """
-    return {col[f] for f in mask_bits(row)}
+    palette, edges = vertex_palettes(h, col), h.edges
+    return {e: set().union(*[palette[v] for v in edges[e]]) for e in edge_ids}
 
 
 RankedLists = dict[frozenset[int], tuple[list[int], dict[int, int]]]
@@ -455,10 +468,7 @@ def greedy_extend(
     if not order:
         return None
     edges = h.edges
-    palette: list[set[int]] = [set() for _ in range(h.n)]
-    for f, c in col.items():
-        for v in edges[f]:
-            palette[v].add(c)
+    palette = vertex_palettes(h, col)
     ranked: RankedLists = {}
     for e in order:
         verts = edges[e]

@@ -32,7 +32,12 @@ from .hypercore import (
     subhypergraph,
     validate_colouring,
 )
-from .ordering import greedy_extend, partition_extremal, partition_stability, taken_colours
+from .ordering import (
+    forbidden_colours,
+    greedy_extend,
+    partition_extremal,
+    partition_stability,
+)
 
 __all__ = [
     "SizeSplit",
@@ -392,13 +397,11 @@ def _run_script(
         return failure
 
     if split.sml:
-        rows = h.view.rows
-        lrg_coloured = sum(1 << f for f in split.lrg)
         got = colour_small(
             h,
             split.sml,
             _per_list(allowed, split.sml, lambda cs: cs - reserved) if reserved else allowed,
-            {e: taken_colours(rows[e] & lrg_coloured, col) for e in split.sml},
+            forbidden_colours(h, split.sml, {f: col[f] for f in split.lrg}),
             seed=params.seed + sml_seed,
         )
         if isinstance(got, ColouringFailure):
@@ -476,14 +479,12 @@ def _stability_middle(
     if not split.med:
         s.record("med", "skipped", "no medium edges")
         return None
-    rows = h.view.rows
-    coloured = sum(1 << f for f in col)
     med_lists = _per_list(allowed, split.med, lambda cs: cs & reserved)
     got = colour_small(
         h,
         split.med,
         med_lists,
-        {e: taken_colours(rows[e] & coloured, col) for e in split.med},
+        forbidden_colours(h, split.med, col),
         seed=params.seed + 1,
     )
     if isinstance(got, ColouringFailure):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from hyperchrom.characterize import TFoldNearPencil, TFoldProjectivePlane
 from hyperchrom.hypercore import Hypergraph
 
 
@@ -296,6 +297,16 @@ def naive_greedy_extend(h: Hypergraph, order, lists, col, pick=min):
     return None
 
 
+def naive_forbidden_colours(h: Hypergraph, edge_ids, col) -> dict[int, set[int]]:
+    """For each edge of ``edge_ids``, the colours ``col`` gives the other
+    edges that meet it, by scanning every coloured edge (a line-graph row
+    masked by the coloured edges, walked edge by edge)."""
+    return {
+        e: {c for f, c in col.items() if f != e and set(h.edges[f]) & set(h.edges[e])}
+        for e in edge_ids
+    }
+
+
 def naive_all_distinct(lists, m: int):
     """Give edges 0..m-1 pairwise different colours, each the smallest unused
     one of its list; returns (colouring, first stuck edge or None)."""
@@ -338,3 +349,69 @@ def naive_overfull_star(h: Hypergraph, lists, ids):
         if len(colours) < len(star):
             return v, star, colours
     return None
+
+
+def naive_classify_support(h: Hypergraph, t: int, support: int):
+    """The t-fold plane / near-pencil test on the vertex bitmask ``support``
+    as it read with one try per apex, written out literally (degrees and
+    predicates from the naive helpers above)."""
+    if any(mask & ~support for mask in h.edge_masks):
+        return None
+    mult: dict[tuple[int, ...], int] = {}
+    for e in h.edges:
+        mult[e] = mult.get(e, 0) + 1
+    if any(c != t for c in mult.values()):
+        return None
+    base = Hypergraph(h.n, tuple(mult))
+    is_linear, is_intersecting = naive_predicates(base)
+    if not (is_linear and is_intersecting):
+        return None
+    covered = sorted({v for e in base.edges for v in e})
+    if sum(1 << v for v in covered) != support:
+        return None
+    n0 = len(covered)
+    remark = "also the projective plane of order 1" if n0 == 3 else ""
+
+    sizes = {len(e) for e in base.edges}
+    if len(sizes) == 1:
+        k = sizes.pop() - 1
+        if (
+            k >= 2
+            and n0 == k * k + k + 1
+            and base.m == n0
+            and all(naive_degree(base, v) == k + 1 for v in covered)
+        ):
+            return TFoldProjectivePlane(k, t)
+
+    if n0 >= 3:
+        base_sets = {frozenset(e) for e in base.edges}
+        for apex in covered:
+            rim = [x for x in covered if x != apex]
+            expected = {frozenset(rim)} | {frozenset((apex, x)) for x in rim}
+            if base_sets == expected and base.m == n0:
+                return TFoldNearPencil(t, remark)
+    return None
+
+
+def naive_classify_extremal(h: Hypergraph, t: int):
+    """(kind, bound, witness vertex) of the tightness test, or None for the
+    kind when the bound does not apply or is not attained: the bound
+    t * max |N[v]| over non-isolated v from pairwise scans, and the first
+    vertex whose closed neighbourhood holds every edge and passes
+    ``naive_classify_support``."""
+    if h.m == 0 or any(len(e) < 2 for e in h.edges):
+        return None, None, None
+    if not naive_predicates(h)[1] or max(naive_codegree(h).values()) > t:
+        return None, None, None
+    covered = [v for v in range(h.n) if naive_degree(h, v) >= 1]
+    nbhd = {v: naive_closed_nbhd(h, v) for v in covered}
+    bound = t * max(len(nb) for nb in nbhd.values())
+    if h.m != bound:
+        return None, bound, None
+    for v in covered:
+        if t * len(nbhd[v]) != h.m or not set(covered) <= nbhd[v]:
+            continue
+        kind = naive_classify_support(h, t, sum(1 << u for u in nbhd[v]))
+        if kind is not None:
+            return kind, bound, v
+    raise AssertionError("tight instance left unclassified")

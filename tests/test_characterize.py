@@ -1,5 +1,6 @@
 """Edge-count bound, Motzkin-style counting inequality, classification."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -19,7 +20,9 @@ from hyperchrom import (
     projective_plane,
     t_fold,
 )
+from hyperchrom.characterize import _classify_on_support
 from hyperchrom.oracle import enumerate_hypergraphs
+from tests._naive import naive_classify_extremal, naive_classify_support
 
 
 class TestMotzkinCheck:
@@ -234,3 +237,72 @@ class TestDeBruijnErdos:
                 assert c.kind == NotExtremal()
             else:
                 assert isinstance(c.kind, (TFoldProjectivePlane, TFoldNearPencil))
+
+
+def _relabel(h, n, seed):
+    """``h`` on ``n`` >= h.n vertices, labels permuted by ``seed``."""
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    return Hypergraph(n, [[perm[v] for v in e] for e in h.edges])
+
+
+def _support(h):
+    return sum(1 << v for e in h.edges for v in e)
+
+
+def _perturbations(pencil):
+    """One-edge changes to a near-pencil on 0..n0-1 (apex 0, rim 1..n0-1)."""
+    n0 = pencil.n
+    rim = tuple(range(1, n0))
+    spokes = [(0, x) for x in rim]
+    yield "shrunken rim", [rim[1:]] + spokes
+    yield "spoke moved to another apex", [rim] + spokes[1:] + [(rim[1], rim[0])]
+    yield "missing spoke", [rim] + spokes[1:]
+    yield "two long edges", [rim, (0,) + rim[1:]] + spokes[1:]
+
+
+class TestSupportClassification:
+    """The rim-based near-pencil test against the apex loop it replaced."""
+
+    def _check(self, h, t):
+        assert _classify_on_support(h, t, _support(h)) == naive_classify_support(
+            h, t, _support(h)
+        )
+        kind, bound, witness = naive_classify_extremal(h, t)
+        got = classify_extremal(h, t)
+        if kind is not None:
+            assert (got.kind, got.bound, got.witness_vertex) == (kind, bound, witness)
+        elif bound is not None:
+            assert (got.kind, got.bound) == (NotExtremal(), bound)
+        else:
+            assert isinstance(got.kind, NotApplicable)
+        return got.kind
+
+    def test_permuted_near_pencils_and_folds(self):
+        for n0 in range(3, 41):
+            for t in (1, 2, 3):
+                h = _relabel(t_fold(near_pencil(n0), t), n0 + n0 % 3, seed=n0 * 10 + t)
+                kind = self._check(h, t)
+                assert kind == TFoldNearPencil(t, kind.remark)
+                assert bool(kind.remark) == (n0 == 3)
+
+    def test_permuted_planes_and_folds(self):
+        for q in (2, 3, 4, 5):
+            for t in (1, 2, 3):
+                h = _relabel(t_fold(projective_plane(q), t), q * q + q + 2, seed=q + t)
+                assert self._check(h, t) == TFoldProjectivePlane(q, t)
+
+    def test_one_edge_perturbations(self):
+        for n0 in range(4, 13):
+            for name, edges in _perturbations(near_pencil(n0)):
+                for t in (1, 2):
+                    h = _relabel(t_fold(Hypergraph(n0, edges), t), n0 + 1, seed=n0)
+                    kind = self._check(h, t)
+                    assert not isinstance(kind, TFoldNearPencil), name
+
+    def test_support_larger_than_cover(self):
+        h = near_pencil(6)
+        wider = _support(h) | 1 << 7
+        h = Hypergraph(8, h.edges)
+        assert _classify_on_support(h, 1, wider) is None
+        assert naive_classify_support(h, 1, wider) is None

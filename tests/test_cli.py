@@ -1,8 +1,15 @@
 """Flat-file formats and the command line front end."""
 
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import hyperchrom
 
 from hyperchrom import (
     Hypergraph,
@@ -11,7 +18,8 @@ from hyperchrom import (
     projective_plane,
     t_fold,
 )
-from hyperchrom.cli import format_hg, main, parse_hg
+from hyperchrom import cli
+from hyperchrom.cli import build_parser, format_hg, main, parse_hg
 from tests.conftest import make_corpus
 
 
@@ -344,6 +352,15 @@ class TestSweep:
         assert [r["index"] for r in rows] == [0, 1, 2, 3]
         assert all(r["status"] in ("ok", "failed") for r in rows)
 
+    def test_process_pool_gives_the_same_rows(self, capsys):
+        assert main(["sweep", "--count", "4", "--seed", "3", "--jobs", "1"]) == 0
+        serial = _report(capsys)
+        assert main(["sweep", "--count", "4", "--seed", "3", "--jobs", "2"]) == 0
+        pooled = _report(capsys)
+        assert pooled["parameters"]["jobs"] == 2
+        assert pooled["certificates"]["rows"] == serial["certificates"]["rows"]
+        assert pooled["outcome"] == serial["outcome"]
+
     def test_sweep_deterministic(self, capsys):
         assert main(["sweep", "--count", "3", "--seed", "9"]) == 0
         first = _report(capsys)
@@ -362,3 +379,65 @@ class TestExitContract:
         bad.write_text("3 1\n0 9\n")
         assert main(["exact", "--in", str(bad)]) == 2
         assert "line 2" in capsys.readouterr().err
+
+
+class TestRepeatedCalls:
+    """``main`` shares one parser across the calls of a process."""
+
+    def _run(self, argvs, capsys):
+        out = []
+        for argv in argvs:
+            code = main(argv)
+            got = capsys.readouterr()
+            report = re.sub(r'"wall_time_ms": \d+', '"wall_time_ms": 0', got.out)
+            out.append((code, report, got.err))
+        return out
+
+    def test_shared_parser_reports_match_fresh_parsers(self, tmp_path, capsys, monkeypatch, fano):
+        plane = _write(tmp_path, "fano2.hg", t_fold(fano, 2))
+        pencil = _write(tmp_path, "pencil.hg", near_pencil(6))
+        argvs = [
+            ["classify", "--in", plane, "--t", "2"],
+            ["color", "--in", plane, "--t", "2", "--lists", "uniform:14"],
+            ["color", "--in", pencil, "--t", "1"],  # no --lists: usage error
+            ["color", "--in", pencil, "--t", "1", "--lists", "uniform:6", "--mode", "extremal"],
+            ["gen", "--family", "pencil", "--n", "5"],
+            ["exact", "--in", pencil, "--budget-edges", "3"],
+            ["order", "--in", plane, "--t", "2", "--partition", "stability"],
+            ["classify", "--in", pencil],
+            ["exact", "--in", plane, "--lists", "uniform:13", "--time-cap-ms", "0"],
+            ["verify", "--in", pencil],
+            ["sweep", "--count", "2", "--seed", "4"],
+            ["--help"],
+        ]
+        shared = self._run(argvs, capsys)
+        monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+        fresh = self._run(argvs, capsys)
+        assert shared == fresh
+        assert [code for code, _out, _err in shared] == [0, 0, 2, 0, 0, 1, 0, 0, 2, 0, 0, 0]
+        assert "the following arguments are required: --lists" in shared[2][2]
+
+    def test_one_parser_per_process(self, capsys):
+        assert build_parser() is build_parser()
+        misses = build_parser.cache_info().misses
+        for _ in range(2):
+            # each usage message reaches the stream current at the call
+            assert main(["classify"]) == 2
+            assert "--in" in capsys.readouterr().err
+        assert build_parser.cache_info().misses == misses
+
+    def test_import_loads_no_process_pool(self):
+        src = Path(hyperchrom.__file__).resolve().parents[1]
+        probe = (
+            "import sys, hyperchrom.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'"
+            " or m == 'concurrent.futures.process'))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert out.stdout.strip() == "[]"

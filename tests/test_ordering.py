@@ -20,9 +20,10 @@ from hyperchrom import (
     validate_colouring,
 )
 from hyperchrom.exactarith import fourth_root_enclosure
-from hyperchrom.ordering import greedy_extend
+from hyperchrom.ordering import forbidden_colours, greedy_extend
 
 from tests._naive import (
+    naive_forbidden_colours,
     naive_forward_degrees,
     naive_greedy_colour,
     naive_greedy_extend,
@@ -485,3 +486,21 @@ class TestGreedyExtend:
                 assert got == col
             else:
                 assert isinstance(got, ColouringFailure) and got.stuck_edge == stuck
+
+
+class TestForbiddenColours:
+    def test_matches_row_scan_on_corpus(self, corpus):
+        rng = random.Random(7600)
+        for h, _t in corpus:
+            ids = list(range(h.m))
+            rng.shuffle(ids)
+            cut = rng.randint(0, h.m)
+            # colours reach below zero and repeat across edges
+            col = {f: rng.randint(-3, 5) for f in ids[:cut]}
+            assert forbidden_colours(h, ids[cut:], col) == naive_forbidden_colours(
+                h, ids[cut:], col
+            )
+
+    def test_parallel_copies_forbid_each_other(self):
+        h = Hypergraph(3, [(0, 1), (0, 1), (2,)])
+        assert forbidden_colours(h, [1, 2], {0: 4}) == {1: {4}, 2: set()}

@@ -26,7 +26,7 @@ from hyperchrom import (
 from hyperchrom import pipeline
 from hyperchrom.oracle import exact_list_colourable
 
-from tests._naive import naive_reserve_colours
+from tests._naive import naive_forbidden_colours, naive_reserve_colours
 from tests.conftest import make_corpus
 
 
@@ -479,3 +479,31 @@ class TestColourMain:
     def test_t_must_be_positive(self, fano):
         with pytest.raises(ValueError):
             colour_main(fano, 0, uniform_lists(fano, 7))
+
+
+class TestForbiddenMaps:
+    def test_maps_are_large_edge_colours_of_a_row_scan(self, monkeypatch):
+        # the sml map and the stability script's med map: for each edge, the
+        # colours of the large edges that meet it, all of them coloured by then
+        real, calls = pipeline.forbidden_colours, []
+
+        def spy(h, edge_ids, col):
+            got = real(h, edge_ids, col)
+            calls.append((h, split, tuple(edge_ids), dict(col), got))
+            return got
+
+        monkeypatch.setattr(pipeline, "forbidden_colours", spy)
+        corpus = make_corpus(12, base_seed=6300, n_range=(6, 12), t_range=(1, 2), size_hi=6)
+        for h, t in corpus:
+            for r0, r1 in ((2, 2), (3, 2), (4, 3), (None, 4)):
+                params = PipelineParams(r0=r0, r1=r1)
+                split = split_by_size(h, params.resolved_r0(h.n), params.r1)
+                for k in (t * h.n, 80):  # long lists let the stability script reach med
+                    colour_main(h, t, uniform_lists(h, k), params)
+        kinds = set()
+        for h, split, ids, col, got in calls:
+            assert got == naive_forbidden_colours(h, ids, col)
+            assert set(col) == set(split.lrg)
+            assert ids in (split.sml, split.med)
+            kinds.add((ids == split.sml, any(got.values())))
+        assert kinds == {(True, True), (False, True), (True, False), (False, False)}
