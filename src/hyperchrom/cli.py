@@ -91,7 +91,7 @@ def parse_hg(text: str) -> Hypergraph:
     edges = []
     for lineno, line in body:
         try:
-            verts = tuple(int(tok) for tok in line.split())
+            verts = tuple(map(int, line.split()))
         except ValueError:
             raise ValueError(f"line {lineno}: vertex ids must be integers") from None
         if not verts:
@@ -166,7 +166,12 @@ def _read_input(path: str) -> tuple[Hypergraph, str]:
 
 def _parse_lists(spec: str, h: Hypergraph) -> dict[int, frozenset[int]]:
     if spec.startswith("uniform:"):
-        k = int(spec.split(":", 1)[1])
+        try:
+            k = int(spec.split(":", 1)[1])
+        except ValueError:
+            k = -1
+        if k < 0:
+            raise ValueError(f"lists {spec!r}: K must be a non-negative integer")
         return uniform_lists(h, k)
     with open(spec, encoding="utf-8") as fh:
         lines = [

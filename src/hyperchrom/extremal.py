@@ -21,12 +21,13 @@ from . import _matching, oracle
 from .exactarith import as_fraction, cmp_to_scaled_sqrt, at_least_scaled_sqrt
 from .hypercore import (
     ColouringFailure,
+    HallViolator,
     Hypergraph,
+    distinct_representatives,
     mask_bits,
     normalize_lists,
     predicates,
 )
-from .ordering import RankedLists, ranked_list
 
 __all__ = [
     "ComplementMatching",
@@ -190,38 +191,17 @@ def colour_from_matching(
 
     if pending:
         # distinct fresh colours for the leftover pair members
-        edges = [e for ci in pending for e in classes[ci]]
-        assignment = _distinct_representatives(edges, avail)
-        if assignment is None:
+        edges = [e for ci in sorted(pending) for e in classes[ci]]
+        assignment = distinct_representatives(
+            {e: frozenset(avail[e]) for e in edges}, edges
+        )
+        if isinstance(assignment, HallViolator):
             return ColouringFailure(
                 stage="colour_from_matching",
                 detail="no system of distinct representatives for deferred pairs",
             )
         colouring.update(assignment)
     return colouring
-
-
-def _distinct_representatives(
-    edges: list[int], avail: dict[int, set[int]]
-) -> dict[int, int] | None:
-    """Assign a distinct colour from its own pool to each edge, by
-    bipartite augmenting paths."""
-    colour_of: dict[int, int] = {}  # colour -> edge
-
-    def try_assign(e: int, banned: set[int]) -> bool:
-        for c in sorted(avail[e]):
-            if c in banned:
-                continue
-            banned.add(c)
-            if c not in colour_of or try_assign(colour_of[c], banned):
-                colour_of[c] = e
-                return True
-        return False
-
-    for e in edges:
-        if not try_assign(e, set()):
-            return None
-    return {e: c for c, e in colour_of.items()}
 
 
 def useful_cover_colour(
@@ -542,15 +522,19 @@ def colour_extremal(
 ) -> tuple[dict[int, int] | ColouringFailure, ExtremalReport]:
     """Fallback ladder for the extremal regime e(H) ≈ t*n.
 
-    Tries, in order: an all-distinct colouring when e(H) < t*n; the same (or
-    a single disjoint pair) at e(H) = t*n; a maximum complement matching;
-    and finally exhaustive search when e(H) fits the budget.  There is no
-    useful-family rung for e(H) > t*n: ``find_useful_family`` returns a
-    family only when the maximum complement matching has at most
-    r = e(H) - t*n pairs, and ``useful_cover_colour`` would build r+1
-    disjoint pairs from it, so it never finds one.  The per-edge size
-    premise |V(e)| >= (1-delta)*sqrt(n) is reported, not enforced.
+    Tries, in order: an all-distinct colouring (pairwise different colours,
+    a system of distinct representatives of the lists) when e(H) < t*n; the
+    same on intersecting H, or a single disjoint pair otherwise, at
+    e(H) = t*n; a maximum complement matching; and finally exhaustive
+    search when e(H) fits the budget.  There is no useful-family rung for
+    e(H) > t*n: ``find_useful_family`` returns a family only when the
+    maximum complement matching has at most r = e(H) - t*n pairs, and
+    ``useful_cover_colour`` would build r+1 disjoint pairs from it, so it
+    never finds one.  The per-edge size premise |V(e)| >= (1-delta)*sqrt(n)
+    is reported, not enforced.
     """
+    if t < 1:
+        raise ValueError("t must be positive")
     delta = as_fraction(delta)
     allowed = normalize_lists(h, lists)
     attempts: list[str] = []
@@ -571,31 +555,11 @@ def colour_extremal(
     if h.m == 0:
         return {}, report("empty")
 
-    def all_distinct() -> dict[int, int] | ColouringFailure:
-        # each edge takes the smallest colour of its list no earlier edge
-        # took; colours only get used, so in each distinct list that colour
-        # never moves back, and one cursor per list walks it once
-        used: set[int] = set()
-        col: dict[int, int] = {}
-        ranked: RankedLists = {}
-        cursor: dict[frozenset[int], int] = {}
-        for i, cs in allowed.items():
-            ordered, _ = ranked_list(cs, ranked)
-            k = cursor.get(cs, 0)
-            while k < len(ordered) and ordered[k] in used:
-                k += 1
-            cursor[cs] = k
-            if k == len(ordered):
-                return ColouringFailure("all-distinct", stuck_edge=i)
-            col[i] = ordered[k]
-            used.add(ordered[k])
-        return col
-
     if h.m < tn:
-        out = all_distinct()
+        out = distinct_representatives(allowed, range(h.m))
         if isinstance(out, dict):
             return out, report("1: all-distinct (e < t*n)")
-        attempts.append(f"rung 1 stuck at edge {out.stuck_edge}")
+        attempts.append(f"rung 1 found no distinct colours: {out.detail}")
     elif h.m == tn:
         if not predicates(h).is_intersecting:
             cm = ComplementMatching((_first_disjoint_pair(h),))
@@ -607,10 +571,10 @@ def colour_extremal(
             else:
                 attempts.append("rung 2 lists too small for pair route")
         else:
-            out = all_distinct()
+            out = distinct_representatives(allowed, range(h.m))
             if isinstance(out, dict):
                 return out, report("2: all-distinct (e = t*n, intersecting)")
-            attempts.append(f"rung 2 stuck at edge {out.stuck_edge}")
+            attempts.append(f"rung 2 found no distinct colours: {out.detail}")
 
     cm = maximal_complement_matching(h)
     matching_size = cm.size

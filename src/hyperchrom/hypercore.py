@@ -29,6 +29,7 @@ __all__ = [
     "ValidationReport",
     "ColouringFailure",
     "StarPigeonhole",
+    "HallViolator",
     "degree_stats",
     "volume",
     "dual",
@@ -36,6 +37,7 @@ __all__ = [
     "predicates",
     "neighbourhoods",
     "star_pigeonhole",
+    "distinct_representatives",
     "validate_colouring",
     "restrict_and_induce",
     "subhypergraph",
@@ -412,6 +414,87 @@ def star_pigeonhole(
         if len(colours) < len(edges):
             return StarPigeonhole(v, tuple(edges), colours)
     return None
+
+
+class HallViolator(NamedTuple):
+    """Certificate that some lists have no system of distinct
+    representatives: the ``edges`` need pairwise different colours, yet
+    their lists hold only ``colours``, fewer colours than edges."""
+
+    edges: tuple[int, ...]
+    colours: frozenset[int]
+
+    @property
+    def detail(self) -> str:
+        return f"Hall violator: {len(self.edges)} edges, {len(self.colours)} colours"
+
+
+def distinct_representatives(
+    lists: Mapping[int, frozenset[int]], edge_ids: Iterable[int]
+) -> dict[int, int] | HallViolator:
+    """Pairwise different colours for ``edge_ids``, each from its own list
+    (a system of distinct representatives), or a ``HallViolator``.
+
+    The edges first take colours greedily, in the order given: each the
+    smallest colour of its list that no earlier edge took.  Colours only
+    get taken, so one cursor per distinct list walks it once, sorted once.
+    Where the greedy colours every edge, that is the answer.  Each edge it
+    leaves stuck starts an augmenting-path search (Kuhn) in the bipartite
+    graph of edges and colours, trying colours ascending.  By Hall's
+    theorem a search fails only when no system exists; the edges it then
+    reached (the stuck edge and the owners of the colours it visited) are
+    the violator, and the colours it visited, all owned by the others,
+    are the union of their lists.  Each search costs O(sum |L(e)|).
+    """
+    ids = list(edge_ids)
+    sorted_lists: dict[frozenset[int], list[int]] = {}
+    cursor: dict[frozenset[int], int] = {}
+    ordered: dict[int, list[int]] = {}  # edge -> its list, ascending
+    owner: dict[int, int] = {}  # colour -> edge
+    colour_of: dict[int, int] = {}  # edge -> colour
+    stuck = []
+    for e in ids:
+        cs = lists[e]
+        row = sorted_lists.get(cs)
+        if row is None:
+            row = sorted_lists[cs] = sorted(cs)
+        ordered[e] = row
+        k = cursor.get(cs, 0)
+        while k < len(row) and row[k] in owner:
+            k += 1
+        cursor[cs] = k
+        if k == len(row):
+            stuck.append(e)
+        else:
+            owner[row[k]] = e
+            colour_of[e] = row[k]
+    for root in stuck:
+        seen: dict[int, int] = {}  # colour -> the edge it was reached from
+        stack = [(root, iter(ordered[root]))]
+        while stack:
+            e, colours = stack[-1]
+            for c in colours:
+                if c in seen:
+                    continue
+                seen[c] = e
+                f = owner.get(c)
+                if f is not None:
+                    stack.append((f, iter(ordered[f])))
+                    break
+                # c is free: shift every colour along the path back to root
+                while e != root:
+                    old = colour_of[e]
+                    owner[c], colour_of[e] = e, c
+                    c, e = old, seen[old]
+                owner[c], colour_of[root] = root, c
+                stack.clear()
+                break
+            else:
+                stack.pop()
+        if root not in colour_of:
+            edges = {root}.union(owner[c] for c in seen)
+            return HallViolator(tuple(sorted(edges)), frozenset(seen))
+    return {e: colour_of[e] for e in ids}
 
 
 def mask_bits(mask: int) -> list[int]:

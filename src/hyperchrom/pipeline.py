@@ -4,6 +4,7 @@ Two entry points.  ``colour_stability`` splits edges by size, reserves a
 random colour block R, partitions the large edges into H2 < W < H1 and
 colours W from the unreserved colours, H2 from R, H1 greedily, then the
 medium edges from R and the small ones from the rest.  ``colour_main``
+answers intersecting instances exactly with one matching; on the others it
 first tries that script, then a second script around ``partition_extremal``
 and the extremal ladder, and finally the exact solver on tiny instances.
 
@@ -25,9 +26,12 @@ from .exactarith import as_fraction, cmp_to_scaled_sqrt
 from .extremal import colour_extremal
 from .hypercore import (
     ColouringFailure,
+    HallViolator,
     Hypergraph,
     degree_stats,
+    distinct_representatives,
     normalize_lists,
+    predicates,
     star_pigeonhole,
     subhypergraph,
     validate_colouring,
@@ -526,7 +530,9 @@ def colour_main(
 ) -> PipelineRun:
     """Full ladder: stability script, extremal script, exact search.
 
-    The extremal script reserves a block R with probability 2*gamma, gives
+    An intersecting H (every two edges meet, as in t-fold planes and
+    near-pencils) skips the ladder: see ``_colour_intersecting``.  The
+    extremal script reserves a block R with probability 2*gamma, gives
     medium edges C∩R and large edges their full lists, partitions med∪lrg
     into H3 < H2 < H1, colours H3 by the extremal ladder and the rest
     greedily, then the small edges from C\\R.
@@ -535,6 +541,8 @@ def colour_main(
         raise ValueError("t must be positive")
     params = params or PipelineParams()
     allowed = normalize_lists(h, lists)
+    if h.m and predicates(h).is_intersecting:
+        return _colour_intersecting(h, allowed)
     sub_run = colour_stability(h, t, allowed, params)
     stages = [replace(r, stage=f"stability:{r.stage}") for r in sub_run.stages]
     if sub_run.ok:
@@ -570,6 +578,31 @@ def colour_main(
     )
     stages.append(StageRecord("exact", "skipped", failure.detail))
     return PipelineRun(failure, tuple(stages))
+
+
+def _colour_intersecting(h: Hypergraph, allowed: dict[int, frozenset[int]]) -> PipelineRun:
+    """The exact answer for an intersecting H, as one ``exact`` stage.
+
+    Every two edges meet, so a proper colouring gives all edges pairwise
+    different colours: it is a system of distinct representatives of the
+    lists, which one bipartite matching finds or refutes with a Hall
+    violator (Hall 1935).  The matching is polynomial, so ``exact_budget``
+    does not apply.
+    """
+    got = distinct_representatives(allowed, range(h.m))
+    if isinstance(got, HallViolator):
+        failure = ColouringFailure("exact", detail=got.detail)
+        return PipelineRun(failure, (StageRecord("exact", "failed", failure.detail),))
+    report = validate_colouring(h, got, lists=allowed)
+    if not report.valid:
+        raise RuntimeError(f"internal: representatives clash: {report.violations[:3]}")
+    stage = StageRecord(
+        "exact",
+        "ok",
+        "intersecting: distinct representatives",
+        colours_used=report.colour_count,
+    )
+    return PipelineRun(got, (stage,))
 
 
 def _extremal_middle(

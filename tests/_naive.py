@@ -319,6 +319,39 @@ def naive_all_distinct(lists, m: int):
     return col, None
 
 
+def naive_sdr(lists, edge_ids):
+    """A system of distinct representatives by brute force: pairwise
+    different colours, each from its edge's own list, tried in every
+    injective way (edges in the order given, colours ascending); the first
+    found, or None.  Meant for at most 8 edges."""
+    ids = list(edge_ids)
+    assert len(ids) <= 8, "brute force is for at most 8 edges"
+    col: dict[int, int] = {}
+
+    def dfs(i: int):
+        if i == len(ids):
+            return dict(col)
+        for c in sorted(lists[ids[i]]):
+            if c not in col.values():
+                col[ids[i]] = c
+                res = dfs(i + 1)
+                if res is not None:
+                    return res
+                del col[ids[i]]
+        return None
+
+    return dfs(0)
+
+
+def naive_is_hall_violator(lists, edge_ids, edges) -> bool:
+    """Are ``edges`` distinct edges of ``edge_ids`` whose lists hold fewer
+    colours than there are edges (|S| > |union of L(S)|)?"""
+    edges = list(edges)
+    if len(set(edges)) != len(edges) or not set(edges) <= set(edge_ids):
+        return False
+    return len(set().union(*(lists[e] for e in edges))) < len(edges)
+
+
 def naive_reserve_colours(lists, gamma, xi, seed: int):
     """The reservation draw with every comparison in ``Fraction`` arithmetic.
 

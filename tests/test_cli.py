@@ -75,6 +75,28 @@ class TestParseHg:
         with pytest.raises(ValueError, match="line 2"):
             parse_hg("3 1\na b")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("3 1\na b", "line 2: vertex ids must be integers"),
+            ("3 1\n0 x 2", "line 2: vertex ids must be integers"),
+            ("3 1\n0 1.5", "line 2: vertex ids must be integers"),
+            ("3 2\n0 1\n-1 2", "line 3: vertex -1 outside 0..2"),
+            ("3 1\n0 -2 1", "line 2: vertex -2 outside 0..2"),
+            ("3 1\n5 1 2", "line 2: vertex 5 outside 0..2"),
+            ("3 1\n0 7 1", "line 2: vertex 7 outside 0..2"),
+            ("3 1\n0 1 3", "line 2: vertex 3 outside 0..2"),
+            ("3 2\n0 1\n2 9 4", "line 3: vertex 9 outside 0..2"),
+            ("4 1\n3 -1 9", "line 2: vertex -1 outside 0..3"),
+            ("0 1\n0", "line 2: vertex 0 outside 0..-1"),
+        ],
+    )
+    def test_bad_vertex_messages(self, text, message):
+        # the line number and the first vertex out of range, whatever its place
+        with pytest.raises(ValueError) as err:
+            parse_hg(text)
+        assert str(err.value) == message
+
     def test_round_trip_corpus(self):
         for h, _t in make_corpus(12, base_seed=77):
             assert parse_hg(format_hg(h)) == h
@@ -193,6 +215,50 @@ class TestColor:
         assert code == 0
         assert rep["colours_used"] == 7
         assert rep["certificates"]["report"]["rung"].startswith("2:")
+
+    def test_extremal_mode_rejects_non_positive_t(self, tmp_path, capsys, fano):
+        path = _write(tmp_path, "fano.hg", fano)
+        for t in ("0", "-2"):
+            args = ["color", "--in", path, "--t", t, "--lists", "uniform:7", "--mode", "extremal"]
+            assert main(args) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "t must be positive" in captured.err
+
+    @pytest.mark.parametrize("command", ["color", "exact"])
+    @pytest.mark.parametrize("spec", ["uniform:-3", "uniform:abc", "uniform:", "uniform:2.5"])
+    def test_bad_uniform_lists_are_usage_errors(self, tmp_path, capsys, fano, command, spec):
+        path = _write(tmp_path, "fano.hg", fano)
+        args = [command, "--in", path, "--lists", spec]
+        assert main(args + (["--t", "1"] if command == "color" else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: lists {spec!r}: K must be a non-negative integer\n"
+
+    @pytest.mark.parametrize("command", ["color", "exact"])
+    def test_uniform_zero_is_empty_lists(self, tmp_path, capsys, fano, command):
+        path = _write(tmp_path, "fano.hg", fano)
+        args = [command, "--in", path, "--lists", "uniform:0"]
+        assert main(args + (["--t", "1"] if command == "color" else [])) == 1
+        assert _report(capsys)["colours_used"] is None
+
+    def test_intersecting_two_fold_plane_coloured(self, tmp_path, capsys):
+        # every two lines of a t-fold plane meet: one matching colours it
+        h = t_fold(projective_plane(4), 2)
+        path = _write(tmp_path, "p4.hg", h)
+        assert main(["color", "--in", path, "--t", "2", "--lists", "uniform:42"]) == 0
+        rep = _report(capsys)
+        assert rep["colours_used"] == 42
+        assert rep["certificates"]["stages"] == [
+            {
+                "type": "StageRecord",
+                "stage": "exact",
+                "status": "ok",
+                "detail": "intersecting: distinct representatives",
+                "colours_used": 42,
+                "seed": None,
+            }
+        ]
 
     def test_lists_file(self, tmp_path, capsys, triangle):
         path = _write(tmp_path, "tri.hg", triangle)

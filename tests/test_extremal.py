@@ -15,6 +15,7 @@ from hyperchrom import (
     is_t_useful,
     maximal_complement_matching,
     near_pencil,
+    projective_plane,
     t_fold,
     uniform_lists,
     useful_cover_colour,
@@ -26,6 +27,7 @@ from tests._naive import (
     naive_all_distinct,
     naive_first_disjoint_pair,
     naive_max_complement_matching_size,
+    naive_sdr,
     naive_validate,
 )
 from tests.conftest import make_corpus
@@ -248,11 +250,13 @@ class TestColourExtremal:
 
     def test_all_distinct_rungs_match_naive(self, fano):
         # rung 1 (e < tn) and rung 2 on intersecting instances with e = tn
-        # give every edge the smallest colour of its list no earlier edge took
+        # give every edge the smallest colour of its list no earlier edge
+        # took; where that greedy gets stuck, augmenting paths finish the
+        # job or the rung names a Hall violator
         rng = random.Random(7600)
         cases = [(h, t) for h, t in make_corpus(30, base_seed=7600) if h.m < t * h.n]
         cases += [(fano, 1), (t_fold(fano, 2), 2), (near_pencil(6), 1)]
-        stuck = coloured = 0
+        coloured = augmented = violated = 0
         for h, t in cases:
             for _ in range(3):
                 pool = range(-4, rng.randint(h.m // 2, h.m + 4))
@@ -266,10 +270,16 @@ class TestColourExtremal:
                     coloured += 1
                     assert got == want
                     assert report.rung.startswith(("1:", "2: all-distinct"))
+                elif report.rung and report.rung.startswith(("1:", "2: all-distinct")):
+                    augmented += 1
+                    assert naive_validate(h, got, lists)
+                    assert len(set(got.values())) == h.m
                 else:
-                    stuck += 1
-                    assert report.attempts[0].endswith(f"stuck at edge {stuck_at}")
-        assert stuck and coloured
+                    violated += 1
+                    assert "found no distinct colours: Hall violator" in report.attempts[0]
+                    if h.m <= 8:
+                        assert naive_sdr(lists, range(h.m)) is None
+        assert coloured and augmented and violated
 
     def test_fano_minus_line_six_colours(self, fano):
         h = Hypergraph(7, fano.edges[:6])
@@ -341,6 +351,21 @@ class TestColourExtremal:
         out, report = colour_extremal(fano, 1, uniform_lists(fano, 6), exact_budget=5)
         assert isinstance(out, ColouringFailure)
         assert any("over budget" in s for s in report.attempts)
+
+    def test_t_must_be_positive(self, fano):
+        for t in (0, -2):
+            with pytest.raises(ValueError, match="t must be positive"):
+                colour_extremal(fano, t, uniform_lists(fano, 7))
+
+    def test_augmenting_path_at_rung_two(self):
+        # PG(2,4), L(e0) = {0, 1} and {0, 2..20} elsewhere: the greedy gives
+        # e0 colour 0 and runs out of colours at the last line
+        h = projective_plane(4)
+        lists = {e: frozenset([0, *range(2, 21)]) for e in range(h.m)}
+        lists[0] = frozenset({0, 1})
+        col, report = colour_extremal(h, 1, lists)
+        assert report.rung == "2: all-distinct (e = t*n, intersecting)"
+        assert col[0] == 1 and naive_validate(h, col, lists)
 
     def test_empty_hypergraph(self):
         col, report = colour_extremal(Hypergraph(3, []), 1, {})

@@ -1,6 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperchrom import (
     ColouringFailure,
@@ -20,16 +23,19 @@ from hyperchrom import (
     validate_colouring,
     volume,
 )
-from hyperchrom.hypercore import star_pigeonhole
+from hyperchrom.hypercore import HallViolator, distinct_representatives, star_pigeonhole
 from tests._naive import (
     _edge_adj,
     naive_closed_nbhd,
     naive_codegree,
     naive_conflicts,
+    naive_all_distinct,
     naive_degree,
+    naive_is_hall_violator,
     naive_list_colouring,
     naive_overfull_star,
     naive_predicates,
+    naive_sdr,
     naive_volume,
 )
 from tests.conftest import make_corpus
@@ -294,6 +300,102 @@ class TestStarPigeonhole:
         star = star_pigeonhole(h, uniform_lists(h, 2), (1 << h.m) - 1)
         assert star.vertex == 0 and star.edges == (0, 1, 2)
         assert star.detail == "pigeonhole at vertex 0: 3 edges, 2 colours"
+
+
+def _check_representatives(lists, ids) -> dict[int, int] | HallViolator:
+    """``distinct_representatives`` against the brute force: an assignment
+    exactly when one exists, injective and from the lists, equal to the
+    greedy's whenever the greedy finishes; otherwise a checkable violator."""
+    got = distinct_representatives(lists, ids)
+    if naive_sdr(lists, ids) is None:
+        assert isinstance(got, HallViolator)
+        assert naive_is_hall_violator(lists, ids, got.edges)
+        assert list(got.edges) == sorted(got.edges)
+        assert got.colours == set().union(*(lists[e] for e in got.edges))
+        return got
+    assert isinstance(got, dict) and sorted(got) == sorted(ids)
+    assert len(set(got.values())) == len(ids)
+    assert all(got[e] in lists[e] for e in ids)
+    greedy, stuck = naive_all_distinct([lists[e] for e in ids], len(ids))
+    if stuck is None:
+        assert got == {ids[i]: c for i, c in greedy.items()}
+    return got
+
+
+class TestDistinctRepresentatives:
+    def test_seeded_lists_match_brute_force(self):
+        rng = random.Random(8100)
+        kinds = {"greedy": 0, "augmented": 0, "violator": 0}
+        for _ in range(1500):
+            m = rng.randint(1, 8)
+            pool = range(-3, m - 2 + rng.randint(0, 2))
+            # short lists over about m colours; one list object shared by some edges
+            shared = frozenset(rng.sample(pool, min(2, len(pool))))
+            lists = {
+                e: shared
+                if rng.random() < 0.3
+                else frozenset(rng.sample(pool, rng.randint(0, min(3, len(pool)))))
+                for e in range(m)
+            }
+            ids = rng.sample(range(m), rng.randint(0, m))
+            got = _check_representatives(lists, ids)
+            if isinstance(got, HallViolator):
+                kinds["violator"] += 1
+            elif naive_all_distinct([lists[e] for e in ids], len(ids))[1] is None:
+                kinds["greedy"] += 1
+            else:
+                kinds["augmented"] += 1
+        assert min(kinds.values()) >= 20, kinds
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_property_matches_brute_force(self, data):
+        shared = data.draw(
+            st.lists(st.frozensets(st.integers(-4, 5), max_size=6), min_size=1, max_size=4)
+        )
+        picks = data.draw(st.lists(st.integers(0, len(shared) - 1), max_size=8))
+        lists = {e: shared[p] for e, p in enumerate(picks)}
+        ids = data.draw(st.permutations(range(len(picks))))
+        _check_representatives(lists, ids[: data.draw(st.integers(0, len(ids)))])
+
+    def test_greedy_answer_kept(self):
+        lists = {0: frozenset({1, 2}), 1: frozenset({1, 2}), 2: frozenset({0, 1, 2, 3})}
+        assert distinct_representatives(lists, [0, 1, 2]) == {0: 1, 1: 2, 2: 0}
+        assert distinct_representatives(lists, [2, 1, 0]) == {2: 0, 1: 1, 0: 2}
+
+    def test_augmenting_path_moves_an_earlier_edge(self):
+        # the greedy gives edge 0 colour 0; edge 2 has only 0, so 0 moves on
+        lists = {0: frozenset({0, 1}), 1: frozenset({1, 2}), 2: frozenset({0})}
+        assert distinct_representatives(lists, range(3)) == {0: 1, 1: 2, 2: 0}
+
+    def test_triangle_violator(self):
+        lists = {e: frozenset({0, 1}) for e in range(3)}
+        got = distinct_representatives(lists, range(3))
+        assert got == HallViolator((0, 1, 2), frozenset({0, 1}))
+        assert got.detail == "Hall violator: 3 edges, 2 colours"
+
+    def test_violator_is_the_reached_part_only(self):
+        # edges 0-2 fight over {0, 1}; edges 3 and 4 have room of their own
+        lists = {0: {0, 1}, 1: {0, 1}, 2: {0, 1}, 3: {2, 3}, 4: {3, 4}}
+        lists = {e: frozenset(cs) for e, cs in lists.items()}
+        got = distinct_representatives(lists, range(5))
+        assert got == HallViolator((0, 1, 2), frozenset({0, 1}))
+
+    def test_empty_list_is_a_one_edge_violator(self):
+        got = distinct_representatives({0: frozenset({5}), 1: frozenset()}, [0, 1])
+        assert got == HallViolator((1,), frozenset())
+
+    def test_no_edges(self):
+        assert distinct_representatives({}, []) == {}
+
+    def test_long_augmenting_path(self):
+        # edge i takes i greedily; the last edge forces every colour one step
+        # up, an augmenting path far deeper than the recursion limit
+        k = 3000
+        lists = {i: frozenset({i, i + 1}) for i in range(k)}
+        lists[k] = frozenset({0})
+        got = distinct_representatives(lists, range(k + 1))
+        assert got == {**{i: i + 1 for i in range(k)}, k: 0}
 
 
 class TestValidateColouring:

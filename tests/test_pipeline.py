@@ -16,8 +16,11 @@ from hyperchrom import (
     colour_sparse_block,
     colour_stability,
     near_pencil,
+    predicates,
+    projective_plane,
     random_bounded_codegree,
     reserve_colours,
+    StageRecord,
     split_by_size,
     t_fold,
     uniform_lists,
@@ -26,7 +29,12 @@ from hyperchrom import (
 from hyperchrom import pipeline
 from hyperchrom.oracle import exact_list_colourable
 
-from tests._naive import naive_forbidden_colours, naive_reserve_colours
+from tests._naive import (
+    naive_forbidden_colours,
+    naive_list_colouring,
+    naive_reserve_colours,
+    naive_validate,
+)
 from tests.conftest import make_corpus
 
 
@@ -316,6 +324,12 @@ def _stage_list(run):
     return [(s.stage, s.status) for s in run.stages]
 
 
+def _with_disjoint_edge(h, size):
+    """``h`` plus one edge on ``size`` new vertices, so no longer intersecting:
+    ``colour_main`` then runs its staged ladder."""
+    return Hypergraph(h.n + size, list(h.edges) + [tuple(range(h.n, h.n + size))])
+
+
 class TestColourStability:
     def test_disjoint_small_edges_trivial(self):
         h = Hypergraph(6, [(0, 1), (2, 3), (4, 5)])
@@ -394,8 +408,8 @@ class TestColourMain:
 
     def test_ladder_reaches_exact_rung(self):
         # uniform lists of size 9 are too tight for both scripts on the
-        # near-pencil, but the oracle settles it
-        h = near_pencil(9)
+        # near-pencil with one more, disjoint edge, but the oracle settles it
+        h = _with_disjoint_edge(near_pencil(9), 1)
         lists = uniform_lists(h, 9)
         run = colour_main(h, 1, lists)
         assert run.ok
@@ -407,7 +421,8 @@ class TestColourMain:
         assert stages["exact"] == "ok"
 
     def test_fano_six_lists_proved_impossible(self, fano):
-        run = colour_main(fano, 1, uniform_lists(fano, 6))
+        h = _with_disjoint_edge(fano, 1)
+        run = colour_main(h, 1, uniform_lists(h, 6))
         assert not run.ok
         assert run.outcome.stage == "exact"
         assert "no proper colouring" in run.outcome.detail
@@ -415,13 +430,15 @@ class TestColourMain:
 
     def test_exact_budget_skips_oracle(self, fano):
         params = PipelineParams(exact_budget=5)
-        run = colour_main(fano, 1, uniform_lists(fano, 6), params)
+        h = _with_disjoint_edge(fano, 1)
+        run = colour_main(h, 1, uniform_lists(h, 6), params)
         assert not run.ok
         assert _stage_map(run)["exact"] == "skipped"
 
     def test_stages_when_stability_colours(self, fano):
         params = PipelineParams(r0=2, r1=2)
-        run = colour_main(fano, 1, uniform_lists(fano, 50), params)
+        h = _with_disjoint_edge(fano, 3)
+        run = colour_main(h, 1, uniform_lists(h, 50), params)
         assert run.ok
         assert _stage_list(run) == [
             ("stability:split", "ok"),
@@ -455,7 +472,7 @@ class TestColourMain:
         ]
 
     def test_stages_without_medium_or_large_edges(self, triangle):
-        run = colour_main(triangle, 1, {e: [0, 1] for e in range(3)})
+        run = colour_main(_with_disjoint_edge(triangle, 1), 1, {e: [0, 1] for e in range(4)})
         assert not run.ok
         assert _stage_list(run) == [
             ("stability:split", "ok"),
@@ -468,6 +485,74 @@ class TestColourMain:
             ("main:sml", "failed"),
             ("exact", "failed"),
         ]
+
+    def test_intersecting_inputs_answered_in_one_stage(self, fano, triangle):
+        # the inputs the ladder tests used before they gained a disjoint edge
+        h = near_pencil(9)
+        run = colour_main(h, 1, uniform_lists(h, 9))
+        assert run.ok
+        assert validate_colouring(h, run.outcome, lists=uniform_lists(h, 9)).valid
+        assert run.stages == (
+            StageRecord("exact", "ok", "intersecting: distinct representatives", 9),
+        )
+        for g, lists, edges, colours in (
+            (fano, uniform_lists(fano, 6), 7, 6),
+            (triangle, {e: [0, 1] for e in range(3)}, 3, 2),
+        ):
+            run = colour_main(g, 1, lists, PipelineParams(exact_budget=0))
+            detail = f"Hall violator: {edges} edges, {colours} colours"
+            assert run.outcome == ColouringFailure("exact", detail=detail)
+            assert run.stages == (StageRecord("exact", "failed", detail),)
+
+    def test_intersecting_shortcut_runs_no_script(self, monkeypatch):
+        def no_script(*args, **kwargs):
+            raise AssertionError("a staged script ran")
+
+        monkeypatch.setattr(pipeline, "colour_stability", no_script)
+        monkeypatch.setattr(pipeline, "_run_script", no_script)
+        h = t_fold(projective_plane(3), 2)
+        lists = uniform_lists(h, 2 * h.n)
+        run = colour_main(h, 2, lists, PipelineParams(exact_budget=0))
+        assert run.ok and validate_colouring(h, run.outcome, lists=lists).valid
+
+    def test_intersecting_needs_an_augmenting_path(self):
+        # PG(2,4), L(e0) = {0, 1} and {0, 2..20} elsewhere: the smallest-colour
+        # greedy gives e0 colour 0 and then runs out; e0 must take 1
+        h = projective_plane(4)
+        lists = {e: frozenset([0, *range(2, 21)]) for e in range(h.m)}
+        lists[0] = frozenset({0, 1})
+        run = colour_main(h, 1, lists)
+        assert run.ok and run.outcome[0] == 1
+        assert naive_validate(h, run.outcome, lists)
+
+    def test_intersecting_corpus_agrees_with_naive(self):
+        rng = random.Random(6400)
+        cases = [(near_pencil(n), t) for n in range(3, 7) for t in (1, 2)]
+        cases += [(projective_plane(q), t) for q in (2, 3, 4) for t in (1, 2)]
+        answers = {True: 0, False: 0}
+        for base, t in cases:
+            h = t_fold(base, t) if t > 1 else base
+            assert predicates(h).is_intersecting
+            full = frozenset(range(t * h.n))
+            for _ in range(4):
+                # three random short sub-lists among the tn colours
+                short = rng.sample(range(h.m), 3)
+                lists = {e: full for e in range(h.m)}
+                for e in short:
+                    lists[e] = frozenset(rng.sample(range(3), rng.randint(1, 2)))
+                run = colour_main(h, t, lists)
+                # the same question with the short lists first, where the
+                # brute force settles it without deep backtracking
+                order = short + [e for e in range(h.m) if e not in short]
+                g = Hypergraph(h.n, [h.edges[e] for e in order])
+                want = naive_list_colouring(g, [lists[e] for e in order])
+                answers[run.ok] += 1
+                assert run.ok == (want is not None)
+                if run.ok:
+                    assert naive_validate(h, run.outcome, lists)
+                else:
+                    assert run.outcome.detail.startswith("Hall violator")
+        assert answers[True] >= 10 and answers[False] >= 10, answers
 
     def test_success_validates_on_corpus(self):
         for h, t in make_corpus(10, base_seed=6200, n_range=(5, 12), t_range=(1, 2)):
