@@ -78,17 +78,17 @@ class TestParseHg:
     @pytest.mark.parametrize(
         "text, message",
         [
-            ("3 1\na b", "line 2: vertex ids must be integers"),
-            ("3 1\n0 x 2", "line 2: vertex ids must be integers"),
-            ("3 1\n0 1.5", "line 2: vertex ids must be integers"),
-            ("3 2\n0 1\n-1 2", "line 3: vertex -1 outside 0..2"),
-            ("3 1\n0 -2 1", "line 2: vertex -2 outside 0..2"),
-            ("3 1\n5 1 2", "line 2: vertex 5 outside 0..2"),
-            ("3 1\n0 7 1", "line 2: vertex 7 outside 0..2"),
-            ("3 1\n0 1 3", "line 2: vertex 3 outside 0..2"),
-            ("3 2\n0 1\n2 9 4", "line 3: vertex 9 outside 0..2"),
-            ("4 1\n3 -1 9", "line 2: vertex -1 outside 0..3"),
-            ("0 1\n0", "line 2: vertex 0 outside 0..-1"),
+            pytest.param("3 1\na b", "line 2: vertex ids must be integers", id="letters"),
+            pytest.param("3 1\n0 x 2", "line 2: vertex ids must be integers", id="letter-middle"),
+            pytest.param("3 1\n0 1.5", "line 2: vertex ids must be integers", id="decimal"),
+            pytest.param("3 2\n0 1\n-1 2", "line 3: vertex -1 outside 0..2", id="negative-first"),
+            pytest.param("3 1\n0 -2 1", "line 2: vertex -2 outside 0..2", id="negative-middle"),
+            pytest.param("3 1\n5 1 2", "line 2: vertex 5 outside 0..2", id="large-first"),
+            pytest.param("3 1\n0 7 1", "line 2: vertex 7 outside 0..2", id="large-middle"),
+            pytest.param("3 1\n0 1 3", "line 2: vertex 3 outside 0..2", id="large-last"),
+            pytest.param("3 2\n0 1\n2 9 4", "line 3: vertex 9 outside 0..2", id="two-out"),
+            pytest.param("4 1\n3 -1 9", "line 2: vertex -1 outside 0..3", id="both-sides"),
+            pytest.param("0 1\n0", "line 2: vertex 0 outside 0..-1", id="no-vertices"),
         ],
     )
     def test_bad_vertex_messages(self, text, message):

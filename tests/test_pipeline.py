@@ -487,9 +487,10 @@ class TestColourMain:
         ]
 
     def test_intersecting_inputs_answered_in_one_stage(self, fano, triangle):
-        # the inputs the ladder tests used before they gained a disjoint edge
+        # the inputs the ladder tests used before they gained a disjoint edge;
+        # the matching runs whatever the exact budget
         h = near_pencil(9)
-        run = colour_main(h, 1, uniform_lists(h, 9))
+        run = colour_main(h, 1, uniform_lists(h, 9), PipelineParams(exact_budget=0))
         assert run.ok
         assert validate_colouring(h, run.outcome, lists=uniform_lists(h, 9)).valid
         assert run.stages == (
@@ -503,17 +504,6 @@ class TestColourMain:
             detail = f"Hall violator: {edges} edges, {colours} colours"
             assert run.outcome == ColouringFailure("exact", detail=detail)
             assert run.stages == (StageRecord("exact", "failed", detail),)
-
-    def test_intersecting_shortcut_runs_no_script(self, monkeypatch):
-        def no_script(*args, **kwargs):
-            raise AssertionError("a staged script ran")
-
-        monkeypatch.setattr(pipeline, "colour_stability", no_script)
-        monkeypatch.setattr(pipeline, "_run_script", no_script)
-        h = t_fold(projective_plane(3), 2)
-        lists = uniform_lists(h, 2 * h.n)
-        run = colour_main(h, 2, lists, PipelineParams(exact_budget=0))
-        assert run.ok and validate_colouring(h, run.outcome, lists=lists).valid
 
     def test_intersecting_needs_an_augmenting_path(self):
         # PG(2,4), L(e0) = {0, 1} and {0, 2..20} elsewhere: the smallest-colour
