@@ -526,12 +526,14 @@ def colour_extremal(
     a system of distinct representatives of the lists) when e(H) < t*n; the
     same on intersecting H, or a single disjoint pair otherwise, at
     e(H) = t*n; a maximum complement matching; and finally exhaustive
-    search when e(H) fits the budget.  There is no useful-family rung for
-    e(H) > t*n: ``find_useful_family`` returns a family only when the
-    maximum complement matching has at most r = e(H) - t*n pairs, and
-    ``useful_cover_colour`` would build r+1 disjoint pairs from it, so it
-    never finds one.  The per-edge size premise |V(e)| >= (1-delta)*sqrt(n)
-    is reported, not enforced.
+    search when e(H) fits the budget.  On intersecting H every proper
+    colouring is all-distinct, so a Hall violator from rung 1 or 2 ends the
+    ladder: the failure carries the violator's detail.  There is no
+    useful-family rung for e(H) > t*n: ``find_useful_family`` returns a
+    family only when the maximum complement matching has at most
+    r = e(H) - t*n pairs, and ``useful_cover_colour`` would build r+1
+    disjoint pairs from it, so it never finds one.  The per-edge size
+    premise |V(e)| >= (1-delta)*sqrt(n) is reported, not enforced.
     """
     if t < 1:
         raise ValueError("t must be positive")
@@ -560,6 +562,8 @@ def colour_extremal(
         if isinstance(out, dict):
             return out, report("1: all-distinct (e < t*n)")
         attempts.append(f"rung 1 found no distinct colours: {out.detail}")
+        if predicates(h).is_intersecting:
+            return ColouringFailure("colour_extremal", detail=out.detail), report(None)
     elif h.m == tn:
         if not predicates(h).is_intersecting:
             cm = ComplementMatching((_first_disjoint_pair(h),))
@@ -575,6 +579,7 @@ def colour_extremal(
             if isinstance(out, dict):
                 return out, report("2: all-distinct (e = t*n, intersecting)")
             attempts.append(f"rung 2 found no distinct colours: {out.detail}")
+            return ColouringFailure("colour_extremal", detail=out.detail), report(None)
 
     cm = maximal_complement_matching(h)
     matching_size = cm.size

@@ -30,12 +30,14 @@ __all__ = [
     "ColouringFailure",
     "StarPigeonhole",
     "HallViolator",
+    "ListMasks",
     "degree_stats",
     "volume",
     "dual",
     "line_graph",
     "predicates",
     "neighbourhoods",
+    "list_masks",
     "star_pigeonhole",
     "distinct_representatives",
     "validate_colouring",
@@ -387,8 +389,59 @@ class StarPigeonhole(NamedTuple):
         )
 
 
+class ListMasks(NamedTuple):
+    """Colour lists as bitmasks over their sorted union.
+
+    Bit i of ``masks[e]`` stands for ``colours[i]``, the i-th smallest
+    colour of any list, and ``position`` maps each colour back to i.  Bits
+    are numbered by rank rather than by colour value, so negative and
+    sparse colour ids cost nothing.  Lists derived from these (a list
+    minus a reserve, say) share the numbering: ``_replace(masks=...)``.
+    """
+
+    colours: tuple[int, ...]
+    position: Mapping[int, int]
+    masks: Mapping[int, int]
+
+    def mask(self, colours: Iterable[int]) -> int:
+        """The bits of ``colours``; a colour outside every list has none."""
+        position, out = self.position, 0
+        for c in colours:
+            i = position.get(c)
+            if i is not None:
+                out |= 1 << i
+        return out
+
+    def decode(self, mask: int) -> frozenset[int]:
+        """The colours whose bits ``mask`` sets."""
+        colours = self.colours
+        return frozenset(colours[i] for i in mask_bits(mask))
+
+
+def list_masks(
+    lists: Mapping[int, Iterable[int]] | ListMasks, edge_ids: Iterable[int] | None = None
+) -> ListMasks:
+    """The lists of ``edge_ids`` (default: every key) as bitmasks over the
+    sorted union of those lists, each distinct list converted once.  A
+    ``ListMasks`` is returned as it is, so callers convert only at the edge
+    of the mask code."""
+    if isinstance(lists, ListMasks):
+        return lists
+    ids = lists.keys() if edge_ids is None else edge_ids
+    frozen = {e: frozenset(lists[e]) for e in ids}
+    distinct = set(frozen.values())
+    colours = tuple(sorted(frozenset().union(*distinct)))
+    position = {c: i for i, c in enumerate(colours)}
+    full = (1 << len(colours)) - 1
+    done = {
+        cs: full if len(cs) == len(colours) else sum(1 << position[c] for c in cs)
+        for cs in distinct
+    }
+    return ListMasks(colours, position, {e: done[cs] for e, cs in frozen.items()})
+
+
 def star_pigeonhole(
-    h: Hypergraph, lists: Mapping[int, frozenset[int]], block_mask: int
+    h: Hypergraph, lists: Mapping[int, Iterable[int]] | ListMasks, block_mask: int
 ) -> StarPigeonhole | None:
     """The first vertex whose star has more edges than colours, or None.
 
@@ -397,22 +450,25 @@ def star_pigeonhole(
     ``lists`` gives them distinct colours.  When the union of their lists
     holds fewer colours than there are edges, no such colouring exists.
     Returns ``(v, edge ids ascending, union of their lists)`` for the
-    lowest such vertex v.  A star's edges are only listed when it has more
-    edges than the shortest list of the block, and their union only taken
-    when it has more edges than its own largest list, so the check costs
-    O(n + sum |e|) when it cannot fire.
+    lowest such vertex v.  The union is an OR of list masks and its size a
+    popcount; a star's edges are only listed when it has more edges than
+    the shortest list of the block, so the check costs O(n + sum |e|) when
+    it cannot fire.
     """
-    shortest = min((len(lists[e]) for e in mask_bits(block_mask)), default=0)
+    block = mask_bits(block_mask)
+    lm = list_masks(lists, block)
+    masks = lm.masks
+    shortest = min((masks[e].bit_count() for e in block), default=0)
     for v, star in enumerate(h.view.incidence):
         star &= block_mask
         if star.bit_count() <= shortest:
             continue
         edges = mask_bits(star)
-        if len(edges) <= max(len(lists[e]) for e in edges):
-            continue
-        colours = frozenset().union(*(lists[e] for e in edges))
-        if len(colours) < len(edges):
-            return StarPigeonhole(v, tuple(edges), colours)
+        union = 0
+        for e in edges:
+            union |= masks[e]
+        if union.bit_count() < len(edges):
+            return StarPigeonhole(v, tuple(edges), lm.decode(union))
     return None
 
 

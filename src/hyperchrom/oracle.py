@@ -15,6 +15,7 @@ from . import _kernel_py
 from .hypercore import (
     Hypergraph,
     canonical_form,
+    list_masks,
     normalize_lists,
     star_pigeonhole,
 )
@@ -110,7 +111,7 @@ def exact_list_colourable(
     A vertex whose edges outnumber the union of their lists
     (``star_pigeonhole``) settles 'no' before any search, and the detail
     names that vertex.  Otherwise the colours, which may be any integers,
-    are numbered by bit position and ``_kernel_py.list_colour`` searches
+    are numbered by rank (``list_masks``) and ``_kernel_py.list_colour`` searches
     the line graph: it branches on the edge with the fewest colours left.
     A 'yes' carries a witness colouring in the original colours; a time
     cap hit is refused as 'budget'.
@@ -121,18 +122,17 @@ def exact_list_colourable(
     allowed = normalize_lists(h, lists)
     if h.m == 0:
         return ListColourResult("yes", witness={})
-    star = star_pigeonhole(h, allowed, (1 << h.m) - 1)
+    lm = list_masks(allowed)
+    star = star_pigeonhole(h, lm, (1 << h.m) - 1)
     if star is not None:
         return ListColourResult("no", detail=star.detail)
-    colours = sorted(frozenset().union(*allowed.values()))
-    bit = {c: i for i, c in enumerate(colours)}
-    masks = [sum(1 << bit[c] for c in allowed[e]) for e in range(h.m)]
+    masks = [lm.masks[e] for e in range(h.m)]
     col, completed = _kernel_py.list_colour(list(h.view.rows), masks, budget.time_cap_ms)
     if not completed:
         return ListColourResult("budget", detail="time cap hit")
     if col is None:
         return ListColourResult("no")
-    return ListColourResult("yes", witness={e: colours[c] for e, c in enumerate(col)})
+    return ListColourResult("yes", witness={e: lm.colours[c] for e, c in enumerate(col)})
 
 
 def enumerate_hypergraphs(

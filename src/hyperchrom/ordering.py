@@ -16,10 +16,18 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
-from typing import AbstractSet, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .exactarith import as_fraction, at_least_scaled_sqrt, fourth_root_enclosure
-from .hypercore import ColouringFailure, Hypergraph, normalize_lists, volume
+from .hypercore import (
+    ColouringFailure,
+    Hypergraph,
+    ListMasks,
+    list_masks,
+    mask_bits,
+    normalize_lists,
+    volume,
+)
 
 __all__ = [
     "EdgeOrdering",
@@ -31,8 +39,6 @@ __all__ = [
     "partition_stability",
     "partition_extremal",
     "forbidden_colours",
-    "ranked_list",
-    "free_colour",
     "greedy_extend",
     "greedy_list_colour",
 ]
@@ -376,13 +382,21 @@ def partition_extremal(
     return _certify(h, parts, properties, degree_caps, "FD'3", notes)
 
 
-def vertex_palettes(h: Hypergraph, col: Mapping[int, int]) -> list[set[int]]:
-    """``palette[v]``: the colours ``col`` gives the edges through vertex v."""
+def vertex_palettes(
+    h: Hypergraph, col: Mapping[int, int], position: Mapping[int, int]
+) -> list[int]:
+    """``palette[v]``: the colours ``col`` gives the edges through vertex v,
+    as a mask of bits ``position[c]``; colours without a position (outside
+    every list in play) cannot conflict with a list colour and are left out.
+    """
     edges = h.edges
-    palette: list[set[int]] = [set() for _ in range(h.n)]
+    palette = [0] * h.n
     for f, c in col.items():
-        for v in edges[f]:
-            palette[v].add(c)
+        i = position.get(c)
+        if i is not None:
+            bit = 1 << i
+            for v in edges[f]:
+                palette[v] |= bit
     return palette
 
 
@@ -392,92 +406,86 @@ def forbidden_colours(
     """For each edge of ``edge_ids`` (none of them in ``col``), the colours
     ``col`` gives the edges that meet it.
 
-    Two edges meet exactly when they share a vertex, so this is the union
-    of the edge's vertex palettes; the pipeline builds its forbidden-colour
+    Two edges meet exactly when they share a vertex, so this is the OR of
+    the edge's vertex palettes; the pipeline builds its forbidden-colour
     maps this way.
     """
-    palette, edges = vertex_palettes(h, col), h.edges
-    return {e: set().union(*[palette[v] for v in edges[e]]) for e in edge_ids}
+    colours = sorted(set(col.values()))
+    palette = vertex_palettes(h, col, {c: i for i, c in enumerate(colours)})
+    out = {}
+    for e in edge_ids:
+        taken = 0
+        for v in h.edges[e]:
+            taken |= palette[v]
+        out[e] = {colours[i] for i in mask_bits(taken)} if taken else set()
+    return out
 
 
-RankedLists = dict[frozenset[int], tuple[list[int], dict[int, int]]]
+def _nth_bit(mask: int, k: int) -> int:
+    """The k-th lowest set bit of ``mask`` (k from 0, below its popcount),
+    as a one-bit mask.
 
-
-def ranked_list(cs: frozenset[int], ranked: RankedLists) -> tuple[list[int], dict[int, int]]:
-    """``cs`` sorted ascending, with its colour -> rank map.
-
-    ``ranked`` caches the pair by value, so equal lists are sorted once per
-    cache, however many edges carry them.
+    Its position p is found by binary search on the popcount of
+    ``mask >> p``, which must be the j = popcount - k bits from p up.  As k
+    set bits lie below p, p is at least k and at most k plus the number of
+    clear bits below the top one, so on a dense mask the search is short.
     """
-    got = ranked.get(cs)
-    if got is None:
-        ordered = sorted(cs)
-        got = ranked[cs] = ordered, {c: i for i, c in enumerate(ordered)}
-    return got
-
-
-def free_colour(
-    cs: frozenset[int],
-    taken: AbstractSet[int],
-    ranked: RankedLists,
-    rng: random.Random | None = None,
-) -> int | None:
-    """A colour of ``cs`` outside ``taken``, or None when there is none.
-
-    Without ``rng`` this is the smallest free colour; with it, the free
-    colour at a uniformly drawn rank.  No copy of ``cs`` is made: the k-th
-    free colour is found in ``ranked_list(cs, ranked)`` by stepping over
-    the sorted ranks of the taken colours that lie in the list.
-    """
-    ordered, rank = ranked_list(cs, ranked)
-    hits = sorted(map(rank.__getitem__, cs.intersection(taken)))
-    free = len(ordered) - len(hits)
-    if not free:
-        return None
-    # choice(seq) is seq[_randbelow(len(seq))] and randrange(n) is
-    # _randbelow(n) (CPython 3.10-3.12), so this draws the colour that
-    # rng.choice(sorted(cs - taken)) would, from the same random bits
-    k = rng.randrange(free) if rng is not None else 0
-    for p in hits:
-        if p > k:
-            break
-        k += 1
-    return ordered[k]
+    size = mask.bit_length()
+    j = mask.bit_count() - k
+    lo, hi = k, size - j + 1  # lo <= p < hi
+    while hi - lo > 1:
+        mid = (lo + hi) >> 1
+        if (mask >> mid).bit_count() >= j:
+            lo = mid
+        else:
+            hi = mid
+    return 1 << lo
 
 
 def greedy_extend(
     h: Hypergraph,
     order: Iterable[int],
-    lists: Mapping[int, frozenset[int]],
+    lists: Mapping[int, Iterable[int]] | ListMasks,
     col: dict[int, int],
     rng: random.Random | None = None,
 ) -> int | None:
     """Colour the edges of ``order`` (distinct, none yet in ``col``) one at a
     time into ``col``.
 
-    ``palette[v]`` holds the colours of the coloured edges through vertex v,
-    seeded from ``col`` (which may arrive partly filled).  Two edges meet
-    exactly when they share a vertex, so an edge may not take the union of
-    its vertices' palettes; it takes ``free_colour`` of its list minus that
-    union: the smallest free colour, or with ``rng`` a uniformly random one
-    (the colour ``rng.choice(sorted(free))`` gives).  Each distinct list is
-    sorted once per call.  Returns the first edge left without a colour, or
-    None when every edge got one.
+    The lists become bitmasks over their sorted union (``list_masks``; a
+    ``ListMasks`` is used as it is).  ``palette[v]`` is the mask of colours
+    of the coloured edges through vertex v, seeded from ``col`` (which may
+    arrive partly filled).  Two edges meet exactly when they share a
+    vertex, so an edge may not take a colour of the OR of its vertices'
+    palettes; its free colours are its list mask minus that OR.  It takes
+    the smallest free colour (the lowest set bit), or with ``rng`` the one
+    at rank ``rng.randrange(popcount)``: as ``choice(seq)`` is
+    ``seq[_randbelow(len(seq))]`` and ``randrange(n)`` is ``_randbelow(n)``
+    (CPython 3.10-3.12), that is the colour ``rng.choice(sorted(free))``
+    gives, from the same random bits.  Returns the first edge left without
+    a colour, or None when every edge got one.
     """
     order = list(order)
     if not order:
         return None
-    edges = h.edges
-    palette = vertex_palettes(h, col)
-    ranked: RankedLists = {}
+    lm = list_masks(lists, order)
+    colours, masks, edges = lm.colours, lm.masks, h.edges
+    palette = vertex_palettes(h, col, lm.position)
     for e in order:
         verts = edges[e]
-        c = free_colour(lists[e], set().union(*[palette[v] for v in verts]), ranked, rng)
-        if c is None:
-            return e
-        col[e] = c
+        taken = 0
         for v in verts:
-            palette[v].add(c)
+            taken |= palette[v]
+        free = masks[e] & ~taken
+        if not free:
+            return e
+        if rng is None:
+            bit = free & -free
+        else:
+            bit = _nth_bit(free, rng.randrange(free.bit_count()))
+        col[e] = colours[bit.bit_length() - 1]
+        for v in verts:
+            palette[v] |= bit
     return None
 
 

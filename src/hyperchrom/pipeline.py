@@ -28,8 +28,10 @@ from .hypercore import (
     ColouringFailure,
     HallViolator,
     Hypergraph,
+    ListMasks,
     degree_stats,
     distinct_representatives,
+    list_masks,
     normalize_lists,
     predicates,
     star_pigeonhole,
@@ -74,13 +76,17 @@ class SizeSplit:
 
 @dataclass(frozen=True)
 class ReservedColours:
-    """A colour block R hitting every list in the (gamma ± xi) window."""
+    """A colour block R hitting every list in the (gamma ± xi) window.
+
+    ``mask`` is R as a bitmask over ``list_masks`` of the lists it was
+    drawn for."""
 
     colours: frozenset[int]
     gamma: Fraction
     xi: Fraction
     seed: int
     retries_used: int
+    mask: int
 
 
 @dataclass(frozen=True)
@@ -151,24 +157,6 @@ def split_by_size(h: Hypergraph, r0: int, r1: int) -> SizeSplit:
     return SizeSplit(tuple(sml), tuple(med), tuple(lrg), r0, r1)
 
 
-def _per_list(
-    lists: Mapping[int, frozenset[int]],
-    ids: Iterable[int],
-    op: Callable[[frozenset[int]], frozenset[int]],
-) -> dict[int, frozenset[int]]:
-    """``{e: op(lists[e]) for e in ids}``, with ``op`` run once per distinct
-    list and its result shared by every edge that has that list."""
-    done: dict[frozenset[int], frozenset[int]] = {}
-    out = {}
-    for e in ids:
-        cs = lists[e]
-        got = done.get(cs)
-        if got is None:
-            got = done[cs] = op(cs)
-        out[e] = got
-    return out
-
-
 def _below(x: float, p: int, q: int) -> bool:
     """Exactly x < p/q, for a float x in [0, 1) and integers p >= 0, q > 0."""
     num, den = x.as_integer_ratio()
@@ -176,7 +164,7 @@ def _below(x: float, p: int, q: int) -> bool:
 
 
 def reserve_colours(
-    lists: Mapping[int, Iterable[int]],
+    lists: Mapping[int, Iterable[int]] | ListMasks,
     gamma,
     xi,
     seed: int,
@@ -194,21 +182,25 @@ def reserve_colours(
         raise ValueError("gamma must lie in [0, 1]")
     if not 0 < xi < 1:
         raise ValueError("xi must lie in (0, 1)")
-    # the window and the universe depend only on the distinct lists
-    distinct = {frozenset(cs) for cs in lists.values()}
-    universe = sorted(frozenset().union(*distinct))
+    # colours are drawn in ascending order, bit by bit of the lists' masks;
+    # the window depends only on the distinct lists
+    lm = list_masks(lists)
+    distinct = [(cs, cs.bit_count()) for cs in set(lm.masks.values())]
     # with gamma = gp/gq and xi = xp/xq the window, scaled by den = gq*xq,
     # reads lo*|C| <= den*|R ∩ C| <= hi*|C| in integers
     gp, gq, xp, xq = gamma.numerator, gamma.denominator, xi.numerator, xi.denominator
     lo, hi, den = gp * xq - xp * gq, gp * xq + xp * gq, gq * xq
     for attempt in range(100):
         rng = random.Random((seed * 1_000_003 + attempt) & _MASK64)
-        reserved = frozenset(c for c in universe if _below(rng.random(), gp, gq))
+        reserved = 0
+        for i in range(len(lm.colours)):
+            if _below(rng.random(), gp, gq):
+                reserved |= 1 << i
         if all(
-            lo * len(cs) <= len(reserved & cs) * den <= hi * len(cs)
-            for cs in distinct
+            lo * size <= (reserved & cs).bit_count() * den <= hi * size
+            for cs, size in distinct
         ):
-            return ReservedColours(reserved, gamma, xi, seed, attempt)
+            return ReservedColours(lm.decode(reserved), gamma, xi, seed, attempt, reserved)
     return ColouringFailure(
         "reserve", detail="no draw met the per-edge window in 100 attempts"
     )
@@ -217,7 +209,7 @@ def reserve_colours(
 def colour_small(
     h: Hypergraph,
     edge_ids: Iterable[int],
-    lists: Mapping[int, Iterable[int]],
+    lists: Mapping[int, Iterable[int]] | ListMasks,
     forbidden: Mapping[int, Iterable[int]] | None = None,
     *,
     seed: int = 0,
@@ -233,17 +225,19 @@ def colour_small(
     """
     ids = list(edge_ids)
     forbidden = forbidden or {}
-    allowed = {}
+    lm = list_masks(lists, ids)
+    masks = {}
     for e in ids:
-        # a tn list holds hundreds of colours: copy it only to take some away
-        cs, banned = frozenset(lists[e]), forbidden.get(e)
-        allowed[e] = cs.difference(banned) if banned else cs
-    for e in ids:
-        if not allowed[e]:
+        cs, banned = lm.masks[e], forbidden.get(e)
+        if banned:
+            cs &= ~lm.mask(banned)
+        if not cs:
             return ColouringFailure(
                 "small", stuck_edge=e, detail="list emptied by forbidden colours"
             )
-    rows, block = h.view.rows, sum(1 << e for e in allowed)
+        masks[e] = cs
+    allowed = lm._replace(masks=masks)
+    rows, block = h.view.rows, sum(1 << e for e in ids)
     star = star_pigeonhole(h, allowed, block)
     if star is not None:
         return ColouringFailure("small", stuck_edge=star.edges[0], detail=star.detail)
@@ -270,7 +264,7 @@ def colour_small(
 def colour_sparse_block(
     h: Hypergraph,
     edge_ids: Iterable[int],
-    lists: Mapping[int, Iterable[int]],
+    lists: Mapping[int, Iterable[int]] | ListMasks,
     *,
     t: int | None = None,
     zeta=None,
@@ -297,11 +291,13 @@ def colour_sparse_block(
         if t is not None:
             sub, _ = subhypergraph(h, ids)
             report["codegree_ok"] = degree_stats(sub).max_codegree <= t
-    allowed = {e: frozenset(lists[e]) for e in ids}
-    rows, block = h.view.rows, sum(1 << e for e in allowed)
+    rows, block = h.view.rows, sum(1 << e for e in ids)
     col: dict[int, int] = {}
     stuck = greedy_extend(
-        h, sorted(ids, key=lambda e: ((rows[e] & block).bit_count(), e)), allowed, col
+        h,
+        sorted(ids, key=lambda e: ((rows[e] & block).bit_count(), e)),
+        list_masks(lists, ids),
+        col,
     )
     if stuck is not None:
         return ColouringFailure("sparse", stuck_edge=stuck), report
@@ -319,6 +315,8 @@ def colour_stability(
     t: int,
     lists: Mapping[int, Iterable[int]],
     params: PipelineParams | None = None,
+    *,
+    masks: ListMasks | None = None,
 ) -> PipelineRun:
     """Size split, colour reservation, three-part treatment of large edges.
 
@@ -327,22 +325,31 @@ def colour_stability(
     W / H2 / H1 from C\\R, C∩R, C\\R respectively; medium edges from C∩R;
     small edges from C\\R avoiding intersecting large edges' colours.  A
     successful outcome is always validated against the original lists.
+    ``masks`` is ``list_masks`` of the lists, for a caller that has built
+    it already; by default it is built here.
     """
     if t < 1:
         raise ValueError("t must be positive")
     params = params or PipelineParams()
-    script = _Script(h, t, normalize_lists(h, lists), params, prefix="")
+    allowed = normalize_lists(h, lists)
+    masks = list_masks(allowed) if masks is None else masks
+    script = _Script(h, t, allowed, masks, params, prefix="")
     outcome = _run_script(script, params.sigma, 2, _stability_middle)
     return PipelineRun(outcome, tuple(script.stages))
 
 
 @dataclass
 class _Script:
-    """One run of a staged script: its inputs and the records it has written."""
+    """One run of a staged script: its inputs and the records it has written.
+
+    ``allowed`` holds the lists as given, against which the result is
+    validated; the stages work on ``lm``, the same lists as bitmasks.
+    """
 
     h: Hypergraph
     t: int
     allowed: dict[int, frozenset[int]]
+    lm: ListMasks
     params: PipelineParams
     prefix: str  # prepended to every stage name
     stages: list[StageRecord] = field(default_factory=list)
@@ -372,7 +379,7 @@ def _run_script(
     edges then take C\\R, avoiding the colours of intersecting large edges,
     with seed ``params.seed + sml_seed``.
     """
-    h, allowed, params = s.h, s.allowed, s.params
+    h, lm, params = s.h, s.lm, s.params
     split = split_by_size(h, params.resolved_r0(h.n), params.r1)
     s.record(
         "split",
@@ -381,18 +388,18 @@ def _run_script(
         f"r0={split.r0} r1={split.r1}",
     )
     if split.med or split.lrg:
-        res = reserve_colours(allowed, 2 * rate, rate / 2, params.seed)
+        res = reserve_colours(lm, 2 * rate, rate / 2, params.seed)
         if isinstance(res, ColouringFailure):
             return s.fail("reserve", res.detail)
-        reserved = res.colours
+        reserved = res.mask
         s.record(
             "reserve",
             "ok",
-            f"|R|={len(reserved)} retries={res.retries_used}",
+            f"|R|={len(res.colours)} retries={res.retries_used}",
             seed=params.seed,
         )
     else:
-        reserved = frozenset()
+        reserved = 0
         s.record("reserve", "skipped", "no medium or large edges")
 
     col: dict[int, int] = {}
@@ -404,7 +411,7 @@ def _run_script(
         got = colour_small(
             h,
             split.sml,
-            _per_list(allowed, split.sml, lambda cs: cs - reserved) if reserved else allowed,
+            _restrict(lm, split.sml, ~reserved),
             forbidden_colours(h, split.sml, {f: col[f] for f in split.lrg}),
             seed=params.seed + sml_seed,
         )
@@ -412,7 +419,8 @@ def _run_script(
             return s.fail("sml", got.detail, got.stuck_edge)
         # sml colours avoid R while med colours sit inside it, so the two
         # blocks can never collide; anything else is a bug, not bad luck.
-        assert not set(got.values()) & {col[e] for e in split.med if e in col}
+        if lm.mask(got.values()) & lm.mask(col[e] for e in split.med if e in col):
+            raise RuntimeError("internal: small and medium edges share a colour")
         col.update(got)
         s.record(
             "sml", "ok", colours_used=len(set(got.values())), seed=params.seed + sml_seed
@@ -420,7 +428,7 @@ def _run_script(
     else:
         s.record("sml", "skipped", "no small edges")
 
-    report = validate_colouring(h, col, lists=allowed)
+    report = validate_colouring(h, col, lists=s.allowed)
     if not report.valid:
         return s.fail("validate", f"violations: {report.violations[:3]}")
     s.record("validate", "ok", colours_used=report.colour_count)
@@ -441,11 +449,18 @@ def _partition(
     return {k: tuple(ids[i] for i in v) for k, v in cert.parts.items()}
 
 
+def _restrict(lm: ListMasks, ids: Iterable[int], keep: int) -> ListMasks:
+    """The lists of ``ids`` cut down to the colours of the mask ``keep``:
+    C∩R is ``_restrict(lm, ids, R)`` and C\\R is ``_restrict(lm, ids, ~R)``."""
+    masks = lm.masks
+    return lm._replace(masks={e: masks[e] & keep for e in ids})
+
+
 def _stability_middle(
-    s: _Script, split: SizeSplit, reserved: frozenset[int], col: dict[int, int]
+    s: _Script, split: SizeSplit, reserved: int, col: dict[int, int]
 ) -> ColouringFailure | None:
     """Large edges as W / H2 / H1, then the medium edges from C∩R."""
-    h, t, allowed, params = s.h, s.t, s.allowed, s.params
+    h, t, lm, params = s.h, s.t, s.lm, s.params
     if split.lrg:
         part = _partition(
             s, "lrg-partition", split.lrg, partition_stability, params.sigma, params.delta
@@ -453,7 +468,7 @@ def _stability_middle(
         w_col, w_report = colour_sparse_block(
             h,
             part["W"],
-            _per_list(allowed, part["W"], lambda cs: cs - reserved),
+            _restrict(lm, part["W"], ~reserved),
             t=t,
             zeta=params.sigma,
             alpha=params.delta,
@@ -467,13 +482,11 @@ def _stability_middle(
             " ".join(f"{k}={v}" for k, v in w_report.items()),
             colours_used=len(set(w_col.values())),
         )
-        h2_lists = _per_list(allowed, part["H2"], lambda cs: cs & reserved)
-        stuck = greedy_extend(h, part["H2"], h2_lists, col)
+        stuck = greedy_extend(h, part["H2"], _restrict(lm, part["H2"], reserved), col)
         if stuck is not None:
             return s.fail("lrg-H2", "reserved list exhausted", stuck)
         s.record("lrg-H2", "ok", f"{len(part['H2'])} edges from the reserve")
-        h1_lists = _per_list(allowed, part["H1"], lambda cs: cs - reserved)
-        stuck = greedy_extend(h, part["H1"], h1_lists, col)
+        stuck = greedy_extend(h, part["H1"], _restrict(lm, part["H1"], ~reserved), col)
         if stuck is not None:
             return s.fail("lrg-H1", "list exhausted", stuck)
         s.record("lrg-H1", "ok", f"{len(part['H1'])} edges")
@@ -483,7 +496,7 @@ def _stability_middle(
     if not split.med:
         s.record("med", "skipped", "no medium edges")
         return None
-    med_lists = _per_list(allowed, split.med, lambda cs: cs & reserved)
+    med_lists = _restrict(lm, split.med, reserved)
     got = colour_small(
         h,
         split.med,
@@ -507,7 +520,7 @@ def _stability_middle(
 def _kahn_note(
     h: Hypergraph,
     ids: tuple[int, ...],
-    lists: Mapping[int, frozenset[int]],
+    lists: ListMasks,
     eps: Fraction,
     t: int,
 ) -> str:
@@ -517,7 +530,7 @@ def _kahn_note(
         return "kahn_premise_ok=vacuous"
     rows, block = h.view.rows, sum(1 << e for e in ids)
     max_deg = max((rows[e] & block).bit_count() for e in ids)
-    min_list = min(len(lists[e]) for e in ids)
+    min_list = min(lists.masks[e].bit_count() for e in ids)
     ok = min_list >= (1 + eps) * max_deg
     return f"kahn_premise_ok={ok} (min_list={min_list}, max_block_degree={max_deg})"
 
@@ -543,12 +556,13 @@ def colour_main(
     allowed = normalize_lists(h, lists)
     if h.m and predicates(h).is_intersecting:
         return _colour_intersecting(h, allowed)
-    sub_run = colour_stability(h, t, allowed, params)
+    masks = list_masks(allowed)  # the one conversion; both scripts share it
+    sub_run = colour_stability(h, t, allowed, params, masks=masks)
     stages = [replace(r, stage=f"stability:{r.stage}") for r in sub_run.stages]
     if sub_run.ok:
         return PipelineRun(sub_run.outcome, tuple(stages))
 
-    script = _Script(h, t, allowed, params, prefix="main:")
+    script = _Script(h, t, allowed, masks, params, prefix="main:")
     outcome = _run_script(script, params.gamma, 3, _extremal_middle)
     stages.extend(script.stages)
     if not isinstance(outcome, ColouringFailure):
@@ -606,7 +620,7 @@ def _colour_intersecting(h: Hypergraph, allowed: dict[int, frozenset[int]]) -> P
 
 
 def _extremal_middle(
-    s: _Script, split: SizeSplit, reserved: frozenset[int], col: dict[int, int]
+    s: _Script, split: SizeSplit, reserved: int, col: dict[int, int]
 ) -> ColouringFailure | None:
     """Medium edges keep C∩R and large edges their full lists; med∪lrg is
     partitioned into H3 < H2 < H1, H3 coloured by the extremal ladder and
@@ -614,9 +628,11 @@ def _extremal_middle(
     mid_large = tuple(sorted(split.med + split.lrg))
     if not mid_large:
         return None
-    h, allowed, params = s.h, s.allowed, s.params
-    residual = {e: allowed[e] for e in split.lrg}
-    residual.update(_per_list(allowed, split.med, lambda cs: cs & reserved))
+    h, lm, params = s.h, s.lm, s.params
+    masks = lm.masks
+    residual = {e: masks[e] for e in split.lrg}
+    residual.update((e, masks[e] & reserved) for e in split.med)
+    residual = lm._replace(masks=residual)
     part = _partition(
         s, "partition", mid_large, partition_extremal, params.delta, params.gamma, split.r0
     )
@@ -625,7 +641,7 @@ def _extremal_middle(
         got, rep = colour_extremal(
             sub3,
             s.t,
-            {i: residual[orig] for i, orig in enumerate(ids3)},
+            {i: lm.decode(residual.masks[orig]) for i, orig in enumerate(ids3)},
             delta=params.delta,
             exact_budget=params.exact_budget,
         )

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -12,14 +13,17 @@ import pytest
 import hyperchrom
 
 from hyperchrom import (
+    GeneratorParams,
     Hypergraph,
     degree_stats,
     near_pencil,
     projective_plane,
+    random_bounded_codegree,
     t_fold,
 )
 from hyperchrom import cli
 from hyperchrom.cli import build_parser, format_hg, main, parse_hg
+from tests._naive import naive_validate
 from tests.conftest import make_corpus
 
 
@@ -268,6 +272,28 @@ class TestColor:
         rep = _report(capsys)
         assert code == 0
         assert set(map(int, rep["outcome"]["colouring"].values())) <= {1, 2, 3}
+
+    def test_per_edge_lists_file_with_sparse_ids(self, tmp_path, capsys):
+        # colour_main on a lists file whose colours are negative, sparse and
+        # large; the small edges alone skip the reserve, whose per-edge window
+        # such lists rarely meet at this size
+        for seed in range(6):
+            rng = random.Random(seed)
+            n, t = rng.randint(12, 30), rng.randint(1, 2)
+            h = random_bounded_codegree(
+                GeneratorParams(seed=seed, n=n, t=t, size_range=(2, 4), density=2 * n)
+            )
+            k = t * n
+            pool = [-10**6, *range(-k, 0, 3), *range(0, 2 * k * 97, 97), 10**6, 2**70]
+            lists = {e: rng.sample(pool, k) for e in range(h.m)}
+            path = _write(tmp_path, f"r{seed}.hg", h)
+            lists_path = tmp_path / f"l{seed}.txt"
+            lists_path.write_text("".join(" ".join(map(str, lists[e])) + "\n" for e in range(h.m)))
+            args = ["color", "--in", path, "--t", str(t), "--lists", str(lists_path)]
+            assert main(args) == 0
+            rep = _report(capsys)
+            col = {int(e): int(c) for e, c in rep["outcome"]["colouring"].items()}
+            assert naive_validate(h, col, lists)
 
     def test_lists_file_wrong_length(self, tmp_path, capsys, triangle):
         path = _write(tmp_path, "tri.hg", triangle)

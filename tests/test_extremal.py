@@ -21,12 +21,14 @@ from hyperchrom import (
     useful_cover_colour,
     validate_colouring,
 )
-from hyperchrom import extremal
+from hyperchrom import extremal, oracle
 
 from tests._naive import (
     naive_all_distinct,
     naive_first_disjoint_pair,
+    naive_list_colouring,
     naive_max_complement_matching_size,
+    naive_predicates,
     naive_sdr,
     naive_validate,
 )
@@ -341,16 +343,61 @@ class TestColourExtremal:
         assert seen >= 5
 
     def test_fano_six_lists_proved_impossible(self, fano):
+        # the seven lines pairwise meet, so rung 2's Hall violator is the proof
         out, report = colour_extremal(fano, 1, uniform_lists(fano, 6))
         assert isinstance(out, ColouringFailure)
-        assert out.detail == "not list-colourable"
+        assert out.detail == "Hall violator: 7 edges, 6 colours"
         assert report.rung is None
-        assert any("no list colouring exists" in s for s in report.attempts)
+        assert report.attempts == (
+            "rung 2 found no distinct colours: Hall violator: 7 edges, 6 colours",
+        )
+        assert report.matching_size is None
 
-    def test_exact_budget_respected(self, fano):
-        out, report = colour_extremal(fano, 1, uniform_lists(fano, 6), exact_budget=5)
+    def test_exact_budget_respected(self, k4):
+        # K4 is not intersecting: its lists of two colours fail rung 4 and
+        # six edges exceed a budget of five
+        out, report = colour_extremal(k4, 1, uniform_lists(k4, 2), exact_budget=5)
         assert isinstance(out, ColouringFailure)
-        assert any("over budget" in s for s in report.attempts)
+        assert report.attempts[-1] == "rung 5 skipped: e(H)=6 over budget 5"
+
+    def test_intersecting_verdict_without_matching_or_oracle(self, monkeypatch, fano):
+        # on intersecting H rungs 1 and 2 decide: a colouring or a Hall
+        # violator, never the complement matching or the list oracle
+        calls = []
+
+        def spy(name):
+            def called(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"{name} ran")
+
+            return called
+
+        monkeypatch.setattr(extremal, "maximal_complement_matching", spy("matching"))
+        monkeypatch.setattr(oracle, "exact_list_colourable", spy("oracle"))
+        rng = random.Random(8100)
+        cases = [fano, Hypergraph(3, [(0, 1), (1, 2), (0, 2)])]
+        cases += [near_pencil(n) for n in (4, 5, 6, 7)]
+        cases += [Hypergraph(k + 2, [(0, i) for i in range(1, k + 1)]) for k in (3, 5)]
+        verdicts = {True: 0, False: 0}
+        for h in cases:
+            assert naive_predicates(h)[1]  # intersecting
+            for _ in range(12):
+                pool = range(-3, h.m - 3)
+                lists = {
+                    e: frozenset(rng.sample(pool, rng.randint(1, len(pool))))
+                    for e in range(h.m)
+                }
+                want = naive_list_colouring(h, lists)
+                got, report = colour_extremal(h, 1, lists)
+                verdicts[want is not None] += 1
+                if want is None:
+                    assert isinstance(got, ColouringFailure)
+                    assert got.detail.startswith("Hall violator")
+                    assert report.rung is None and report.matching_size is None
+                else:
+                    assert naive_validate(h, got, lists)
+        assert not calls
+        assert verdicts[True] >= 10 and verdicts[False] >= 10, verdicts
 
     def test_t_must_be_positive(self, fano):
         for t in (0, -2):

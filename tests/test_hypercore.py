@@ -23,7 +23,12 @@ from hyperchrom import (
     validate_colouring,
     volume,
 )
-from hyperchrom.hypercore import HallViolator, distinct_representatives, star_pigeonhole
+from hyperchrom.hypercore import (
+    HallViolator,
+    distinct_representatives,
+    list_masks,
+    star_pigeonhole,
+)
 from tests._naive import (
     _edge_adj,
     naive_closed_nbhd,
@@ -300,6 +305,43 @@ class TestStarPigeonhole:
         star = star_pigeonhole(h, uniform_lists(h, 2), (1 << h.m) - 1)
         assert star.vertex == 0 and star.edges == (0, 1, 2)
         assert star.detail == "pigeonhole at vertex 0: 3 edges, 2 colours"
+
+
+class TestListMasks:
+    def test_one_mask_per_distinct_list(self):
+        # bits follow the sorted union of the lists, so negative, sparse and
+        # large colour ids all number densely from 0
+        rng = random.Random(7700)
+        one = frozenset(range(40))
+        lists = {e: one for e in range(10)}
+        lists.update({e: frozenset(rng.sample(range(-5, 40), 12)) for e in range(10, 20)})
+        lists[20] = frozenset(sorted(lists[10]))  # equal to edge 10's list, another object
+        lists[21] = [-10**6, 0, 7, 10**6]
+        lm = list_masks(lists)
+        assert lm.colours == tuple(sorted(set().union(*lists.values())))
+        assert all(lm.colours[i] == c for c, i in lm.position.items())
+        assert list(lm.masks) == list(lists)
+        for e, cs in lists.items():
+            assert lm.decode(lm.masks[e]) == frozenset(cs)
+            assert lm.masks[e] == sum(1 << lm.colours.index(c) for c in cs)
+        assert lm.masks[20] == lm.masks[10]
+        assert lm.masks[0] == sum(1 << lm.position[c] for c in one)
+        assert lm.mask([10**6, 3, 10**9]) == (1 << lm.position[10**6]) | (1 << lm.position[3])
+        assert list_masks(lm) is lm
+
+    def test_only_the_given_edges(self):
+        lists = {0: [5, 9], 1: [-2], 2: [9, 100]}
+        lm = list_masks(lists, [2, 0])
+        assert lm.colours == (5, 9, 100)
+        assert lm.masks == {2: 0b110, 0: 0b011}
+
+    def test_star_pigeonhole_reads_masks(self):
+        h = Hypergraph(7, [(0, 1), (0, 2), (0, 3), (4, 5), (4, 6), (3, 4)])
+        lists = {e: frozenset({-10**6, 10**6}) for e in range(h.m)}
+        block = (1 << h.m) - 1
+        star = star_pigeonhole(h, list_masks(lists), block)
+        assert star == star_pigeonhole(h, lists, block)
+        assert star.colours == frozenset({-10**6, 10**6})
 
 
 def _check_representatives(lists, ids) -> dict[int, int] | HallViolator:

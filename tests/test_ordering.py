@@ -20,7 +20,7 @@ from hyperchrom import (
     validate_colouring,
 )
 from hyperchrom.exactarith import fourth_root_enclosure
-from hyperchrom.ordering import forbidden_colours, greedy_extend
+from hyperchrom.ordering import _nth_bit, forbidden_colours, greedy_extend
 
 from tests._naive import (
     naive_forbidden_colours,
@@ -407,6 +407,26 @@ class TestGreedyListColour:
             assert validate_colouring(h, col, lists=lists).valid
 
 
+def _agrees_with_naive(h, order, lists, pre, seed) -> bool:
+    """``greedy_extend`` from ``pre`` equals ``naive_greedy_extend``, with
+    the smallest-colour pick and with the seeded one, which must consume
+    the same random bits; returns whether the greedy got stuck."""
+    for seeded in (False, True):
+        col, want_col = dict(pre), dict(pre)
+        if seeded:
+            mine, theirs = random.Random(seed), random.Random(seed)
+            got = greedy_extend(h, order, lists, col, mine)
+            want = naive_greedy_extend(
+                h, order, lists, want_col, lambda o: theirs.choice(sorted(o))
+            )
+            assert mine.random() == theirs.random()
+        else:
+            got = greedy_extend(h, order, lists, col)
+            want = naive_greedy_extend(h, order, lists, want_col)
+        assert (got, col) == (want, want_col)
+    return got is not None
+
+
 class TestGreedyExtend:
     def test_matches_naive_on_random_orders_and_precolourings(self):
         rng = random.Random(7300)
@@ -443,23 +463,44 @@ class TestGreedyExtend:
                 one = draw(pool)
                 lists = {e: one if shared else draw(pool) for e in range(h.m)}
                 pre = {e: rng.choice(sorted(lists[e])) for e in order[:cut]}
-                seed = rng.randrange(1 << 32)
-                for seeded in (False, True):
-                    col, want_col = dict(pre), dict(pre)
-                    if seeded:
-                        mine, theirs = random.Random(seed), random.Random(seed)
-                        got = greedy_extend(h, order[cut:], lists, col, mine)
-                        want = naive_greedy_extend(
-                            h, order[cut:], lists, want_col, lambda o: theirs.choice(sorted(o))
-                        )
-                        # the same random bits were consumed
-                        assert mine.random() == theirs.random()
-                    else:
-                        got = greedy_extend(h, order[cut:], lists, col)
-                        want = naive_greedy_extend(h, order[cut:], lists, want_col)
-                    assert (got, col) == (want, want_col)
-                    stuck += got is not None
+                stuck += _agrees_with_naive(h, order[cut:], lists, pre, rng.randrange(1 << 32))
         assert stuck  # some cases end on a stuck edge
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_rank_mapping_on_sparse_ids_and_outside_colours(self, corpus, shared):
+        # bits number the colours by rank in the sorted union of the lists,
+        # so negative, sparse and large ids pick as the per-edge greedy does;
+        # a partly filled colouring may hold colours outside every list (as
+        # H1's are when the small edges take C\R), which forbid nothing
+        rng = random.Random(7800 + shared)
+        sparse = [-10**6, -7, 0, 7, 10**3, 10**6, 2**70]
+        outside = [-10**9, 5, 10**7]
+
+        def draw():
+            return frozenset(rng.sample(sparse, rng.randint(1, len(sparse))))
+
+        stuck = prefilled_outside = 0
+        for h, _t in corpus:
+            for _ in range(3):
+                order = list(range(h.m))
+                rng.shuffle(order)
+                cut = rng.randint(0, h.m)
+                one = draw()
+                lists = {e: one if shared else draw() for e in range(h.m)}
+                pre = {
+                    e: rng.choice(outside if rng.random() < 0.5 else sorted(lists[e]))
+                    for e in order[:cut]
+                }
+                prefilled_outside += not set(outside).isdisjoint(pre.values())
+                stuck += _agrees_with_naive(h, order[cut:], lists, pre, rng.randrange(1 << 32))
+        assert stuck and prefilled_outside
+
+    def test_nth_bit_is_the_kth_lowest_set_bit(self):
+        for mask in range(1, 1 << 10):
+            bits = [i for i in range(10) if mask >> i & 1]
+            assert [_nth_bit(mask, k) for k in range(len(bits))] == [1 << i for i in bits]
+        wide = (1 << 700) | (1 << 400) | 0b1011
+        assert [_nth_bit(wide, k) for k in range(5)] == [1, 2, 8, 1 << 400, 1 << 700]
 
     def test_empty_order_changes_nothing(self, fano):
         rng = random.Random(3)

@@ -91,28 +91,6 @@ class TestPipelineParams:
             PipelineParams(exact_budget=-1)
 
 
-class TestPerList:
-    def test_one_op_per_distinct_list(self):
-        rng = random.Random(7700)
-        one = frozenset(range(40))
-        lists = {e: one for e in range(10)}
-        lists.update({e: frozenset(rng.sample(range(-5, 40), 12)) for e in range(10, 20)})
-        lists[20] = frozenset(sorted(lists[10]))  # equal to edge 10's list, another object
-        reserved = frozenset(range(0, 40, 3))
-        calls = []
-
-        def op(cs):
-            calls.append(cs)
-            return cs & reserved
-
-        ids = [20, *range(19, -1, -1)]
-        got = pipeline._per_list(lists, ids, op)
-        assert got == {e: lists[e] & reserved for e in ids}
-        assert list(got) == ids
-        assert len(calls) == len(set(calls)) == 11
-        assert all(got[e] is got[0] for e in range(10)) and got[10] is got[20]
-
-
 class TestReserveColours:
     def test_gamma_zero_reserves_nothing(self):
         lists = {e: range(10) for e in range(3)}
@@ -373,6 +351,28 @@ class TestColourStability:
         run = colour_stability(h, 1, lists, params)
         assert run.ok
         assert validate_colouring(h, run.outcome, lists=lists).valid
+
+    def test_medium_and_small_colour_collision_raises(self, monkeypatch):
+        # a small-edge colouring that reuses a medium edge's colour is a bug
+        # in the code, so it raises instead of failing a stage; the check is
+        # not an assert, which python -O would strip
+        h = near_pencil(5)
+        params = PipelineParams(r0=4, r1=2)
+        split = split_by_size(h, 4, 2)
+        real, med_colours = pipeline.colour_small, []
+
+        def collide(h, edge_ids, lists, forbidden=None, *, seed=0):
+            got = real(h, edge_ids, lists, forbidden, seed=seed)
+            if tuple(edge_ids) == split.med:
+                med_colours.extend(got.values())
+            elif tuple(edge_ids) == split.sml:
+                got[split.sml[0]] = med_colours[0]
+            return got
+
+        monkeypatch.setattr(pipeline, "colour_small", collide)
+        with pytest.raises(RuntimeError, match="internal: small and medium"):
+            colour_stability(h, 1, uniform_lists(h, 100), params)
+        assert med_colours
 
     def test_success_validates_on_corpus(self):
         sigma = Fraction(1, 50)

@@ -34,6 +34,7 @@ from tests._naive import naive_greedy_extend, naive_reorder
 
 ALPHA_GRID = (Fraction(0), Fraction(1, 4), Fraction(1, 2))
 TAU_GRID = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
+SPARSE_COLOURS = (-10**6, -7, 0, 7, 10**3, 10**6, 2**70)
 
 
 @st.composite
@@ -156,13 +157,18 @@ def test_greedy_extend_is_the_per_edge_list_greedy(h, data):
     order = data.draw(st.permutations(range(h.m)))
     cut = data.draw(st.integers(min_value=0, max_value=h.m))
     lo = data.draw(st.integers(min_value=-8, max_value=3))
-    colour_lists = st.frozensets(st.integers(lo, lo + 8), min_size=1, max_size=9)
+    # a dense window plus sparse, large and negative ids: the greedy numbers
+    # colours by rank, never by value
+    colour = st.integers(lo, lo + 8) | st.sampled_from(SPARSE_COLOURS)
+    colour_lists = st.frozensets(colour, min_size=1, max_size=9)
     if data.draw(st.booleans(), label="shared"):
         one = data.draw(colour_lists)
         lists = {e: one for e in range(h.m)}
     else:
         lists = {e: data.draw(colour_lists) for e in range(h.m)}
-    pre = {e: data.draw(st.sampled_from(sorted(lists[e]))) for e in order[:cut]}
+    # pre-filled colours come from the edge's list or from outside every list
+    outside = st.integers(10**7, 10**7 + 2)
+    pre = {e: data.draw(st.sampled_from(sorted(lists[e])) | outside) for e in order[:cut]}
     seed = data.draw(st.none() | st.integers(min_value=0, max_value=2**32))
     col, want_col = dict(pre), dict(pre)
     if seed is None:
