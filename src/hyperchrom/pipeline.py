@@ -76,17 +76,13 @@ class SizeSplit:
 
 @dataclass(frozen=True)
 class ReservedColours:
-    """A colour block R hitting every list in the (gamma ± xi) window.
-
-    ``mask`` is R as a bitmask over ``list_masks`` of the lists it was
-    drawn for."""
+    """A colour block R hitting every list in the (gamma ± xi) window."""
 
     colours: frozenset[int]
     gamma: Fraction
     xi: Fraction
     seed: int
     retries_used: int
-    mask: int
 
 
 @dataclass(frozen=True)
@@ -200,7 +196,7 @@ def reserve_colours(
             lo * size <= (reserved & cs).bit_count() * den <= hi * size
             for cs, size in distinct
         ):
-            return ReservedColours(lm.decode(reserved), gamma, xi, seed, attempt, reserved)
+            return ReservedColours(lm.decode(reserved), gamma, xi, seed, attempt)
     return ColouringFailure(
         "reserve", detail="no draw met the per-edge window in 100 attempts"
     )
@@ -296,7 +292,7 @@ def colour_sparse_block(
     stuck = greedy_extend(
         h,
         sorted(ids, key=lambda e: ((rows[e] & block).bit_count(), e)),
-        list_masks(lists, ids),
+        lists,
         col,
     )
     if stuck is not None:
@@ -315,8 +311,6 @@ def colour_stability(
     t: int,
     lists: Mapping[int, Iterable[int]],
     params: PipelineParams | None = None,
-    *,
-    masks: ListMasks | None = None,
 ) -> PipelineRun:
     """Size split, colour reservation, three-part treatment of large edges.
 
@@ -325,15 +319,12 @@ def colour_stability(
     W / H2 / H1 from C\\R, C∩R, C\\R respectively; medium edges from C∩R;
     small edges from C\\R avoiding intersecting large edges' colours.  A
     successful outcome is always validated against the original lists.
-    ``masks`` is ``list_masks`` of the lists, for a caller that has built
-    it already; by default it is built here.
     """
     if t < 1:
         raise ValueError("t must be positive")
     params = params or PipelineParams()
     allowed = normalize_lists(h, lists)
-    masks = list_masks(allowed) if masks is None else masks
-    script = _Script(h, t, allowed, masks, params, prefix="")
+    script = _Script(h, t, allowed, list_masks(allowed), params, prefix="")
     outcome = _run_script(script, params.sigma, 2, _stability_middle)
     return PipelineRun(outcome, tuple(script.stages))
 
@@ -391,7 +382,7 @@ def _run_script(
         res = reserve_colours(lm, 2 * rate, rate / 2, params.seed)
         if isinstance(res, ColouringFailure):
             return s.fail("reserve", res.detail)
-        reserved = res.mask
+        reserved = lm.mask(res.colours)
         s.record(
             "reserve",
             "ok",
@@ -556,13 +547,12 @@ def colour_main(
     allowed = normalize_lists(h, lists)
     if h.m and predicates(h).is_intersecting:
         return _colour_intersecting(h, allowed)
-    masks = list_masks(allowed)  # the one conversion; both scripts share it
-    sub_run = colour_stability(h, t, allowed, params, masks=masks)
+    sub_run = colour_stability(h, t, allowed, params)
     stages = [replace(r, stage=f"stability:{r.stage}") for r in sub_run.stages]
     if sub_run.ok:
         return PipelineRun(sub_run.outcome, tuple(stages))
 
-    script = _Script(h, t, allowed, masks, params, prefix="main:")
+    script = _Script(h, t, allowed, list_masks(allowed), params, prefix="main:")
     outcome = _run_script(script, params.gamma, 3, _extremal_middle)
     stages.extend(script.stages)
     if not isinstance(outcome, ColouringFailure):
