@@ -109,24 +109,20 @@ def format_hg(h: Hypergraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _jsonable(x):
+def _hook(x):
+    """The values the C JSON encoder cannot take itself: exact rationals as
+    strings, failures as their three fields, dataclasses as their type name
+    and fields, sets as sorted lists, anything else as its ``str``."""
     if isinstance(x, Fraction):
         return str(x)
-    if isinstance(x, bool) or x is None or isinstance(x, (int, float, str)):
-        return x
     if isinstance(x, ColouringFailure):
         return {"stage": x.stage, "stuck_edge": x.stuck_edge, "detail": x.detail}
     if dataclasses.is_dataclass(x) and not isinstance(x, type):
         out = {"type": type(x).__name__}
-        for f in dataclasses.fields(x):
-            out[f.name] = _jsonable(getattr(x, f.name))
+        out.update((f.name, getattr(x, f.name)) for f in dataclasses.fields(x))
         return out
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (set, frozenset)):
-        return sorted(_jsonable(v) for v in x)
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
+        return sorted(x)
     return str(x)
 
 
@@ -148,14 +144,16 @@ def _emit(
         "schema": 1,
         "command": command,
         "input_digest": digest,
-        "parameters": _jsonable(parameters),
+        "parameters": parameters,
         "seed": seed,
-        "outcome": _jsonable(outcome),
+        "outcome": outcome,
         "colours_used": colours_used,
-        "certificates": _jsonable(certificates),
+        "certificates": certificates,
         "wall_time_ms": int((time.monotonic() - started) * 1000),
     }
-    print(json.dumps(report, indent=2, sort_keys=True))
+    # one compact line: without ``indent`` json.dumps runs its C encoder,
+    # which calls ``_hook`` only for the values it cannot encode itself
+    print(json.dumps(report, sort_keys=True, separators=(",", ":"), default=_hook))
 
 
 def _read_input(path: str) -> tuple[Hypergraph, str]:

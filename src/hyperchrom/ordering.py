@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
+from math import ceil, floor
 from typing import Iterable, Mapping
 
 from .exactarith import as_fraction, at_least_scaled_sqrt, fourth_root_enclosure
@@ -180,9 +180,8 @@ def reorder(
         assert e_star is not None
         r = len(h.edges[e_star])
         factor = 1 + 3 * x_lo * K**3
-        members = [
-            e for e in prefix if len(h.edges[e]) == r or r <= len(h.edges[e]) < factor * r
-        ]
+        cap = ceil(factor * r)  # an integer size s is < factor*r iff s < cap
+        members = [e for e in prefix if len(h.edges[e]) == r or r <= len(h.edges[e]) < cap]
         w_block = tuple(members)
         if prefix[len(prefix) - len(members) :] != members:  # pragma: no cover - defensive
             raise RuntimeError("internal: W is not a suffix of the prefix")
@@ -276,7 +275,9 @@ def _certify(
     )
 
 
-def partition_stability(h: Hypergraph, t: int, sigma, delta) -> PartitionCertificate:
+def partition_stability(
+    h: Hypergraph, t: int, sigma, delta, edge_ids: Iterable[int] | None = None
+) -> PartitionCertificate:
     """Three-part splice H2 < W < H1 with near-uniform W.
 
     Runs the local search at (2*sigma, 1); case A yields the trivial
@@ -285,7 +286,8 @@ def partition_stability(h: Hypergraph, t: int, sigma, delta) -> PartitionCertifi
     (1 - 1/2000, 2000^2) to become H2.  Flags: P1 size ratio on W within
     1+delta, P2 W-volume at least (1-delta)t, P3 all H2 edges at least as
     large as W's largest, FD1/FD2 forward-degree targets on H1/H2, FD3 the
-    splice order itself.
+    splice order itself.  With ``edge_ids`` only those edges of H are
+    partitioned, as in ``reorder``.
     """
     sigma = as_fraction(sigma)
     delta = as_fraction(delta)
@@ -294,7 +296,7 @@ def partition_stability(h: Hypergraph, t: int, sigma, delta) -> PartitionCertifi
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
 
-    outer = reorder(h, t, 2 * sigma, 1)
+    outer = reorder(h, t, 2 * sigma, 1, edge_ids=edge_ids)
     notes: dict = {"outer_case": outer.case, "outer_certificates": outer.certificates}
     head, h1 = _split(outer)
     w_block = outer.W
@@ -331,6 +333,7 @@ def partition_extremal(
     gamma,
     r0: int,
     sigma=None,
+    edge_ids: Iterable[int] | None = None,
 ) -> PartitionCertificate:
     """Three-part splice H3 < H2 < H1 for the near-extremal pipeline.
 
@@ -340,6 +343,8 @@ def partition_extremal(
     rest H2.  Flags: P'1 every edge of size <= r0 lies in H1, P'2 all H3
     edges have size >= (1-2*delta)*sqrt(n), FD'1 forward degree <= t*n - 2
     on H2, FD'2 forward degree <= gamma*t*n on H1, FD'3 the splice order.
+    With ``edge_ids`` only those edges of H are partitioned (and P'1 scans
+    them in the order given), as in ``reorder``.
     """
     delta = as_fraction(delta)
     gamma = as_fraction(gamma)
@@ -353,7 +358,8 @@ def partition_extremal(
     if not 0 < sigma < 1:
         raise ValueError("sigma must lie in (0, 1)")
 
-    outer = reorder(h, t, 1 - gamma, 1 / gamma**2)
+    ids = range(h.m) if edge_ids is None else tuple(edge_ids)
+    outer = reorder(h, t, 1 - gamma, 1 / gamma**2, edge_ids=ids)
     notes: dict = {"outer_case": outer.case, "outer_certificates": outer.certificates}
     head, h1 = _split(outer)
     h3: tuple[int, ...] = ()
@@ -365,13 +371,13 @@ def partition_extremal(
 
     sizes = [len(e) for e in h.edges]
     in_h1 = set(h1)
-    p1_wit = next((e for e in range(h.m) if sizes[e] <= r0 and e not in in_h1), None)
+    p1_wit = next((e for e in ids if sizes[e] <= r0 and e not in in_h1), None)
     too_small = {
         s for s in {sizes[e] for e in h3} if not at_least_scaled_sqrt(s, 1 - 2 * delta, h.n)
     }
     p2_wit = next((e for e in h3 if sizes[e] in too_small), None)
     properties = [
-        ("P'1", p1_wit is None, p1_wit, h.m == 0),
+        ("P'1", p1_wit is None, p1_wit, not ids),
         ("P'2", p2_wit is None, p2_wit, not h3),
     ]
     degree_caps = [

@@ -399,11 +399,12 @@ def _run_script(
         return failure
 
     if split.sml:
+        lrg_col = {f: col[f] for f in split.lrg}
         got = colour_small(
             h,
             split.sml,
             _restrict(lm, split.sml, ~reserved),
-            forbidden_colours(h, split.sml, {f: col[f] for f in split.lrg}),
+            forbidden_colours(h, split.sml, lrg_col) if lrg_col else None,
             seed=params.seed + sml_seed,
         )
         if isinstance(got, ColouringFailure):
@@ -429,15 +430,14 @@ def _run_script(
 def _partition(
     s: _Script, stage: str, edge_ids: tuple[int, ...], partition, *args
 ) -> dict[str, tuple[int, ...]]:
-    """Run ``partition`` on the sub-hypergraph of ``edge_ids`` and record its
-    property flags; the parts come back as edge ids of H."""
-    sub, ids = subhypergraph(s.h, edge_ids)
-    cert = partition(sub, s.t, *args)
+    """Run ``partition`` on the edges ``edge_ids`` of H and record its
+    property flags."""
+    cert = partition(s.h, s.t, *args, edge_ids=edge_ids)
     flags = " ".join(
         f"{k}={'T' if v else 'F'}" for k, v in sorted(cert.property_flags.items())
     )
     s.record(stage, "ok", flags)
-    return {k: tuple(ids[i] for i in v) for k, v in cert.parts.items()}
+    return cert.parts
 
 
 def _restrict(lm: ListMasks, ids: Iterable[int], keep: int) -> ListMasks:
@@ -492,7 +492,7 @@ def _stability_middle(
         h,
         split.med,
         med_lists,
-        forbidden_colours(h, split.med, col),
+        forbidden_colours(h, split.med, col) if col else None,
         seed=params.seed + 1,
     )
     if isinstance(got, ColouringFailure):

@@ -20,7 +20,9 @@ from hyperchrom import (
     validate_colouring,
 )
 from hyperchrom.exactarith import fourth_root_enclosure
+from hyperchrom.hypercore import subhypergraph
 from hyperchrom.ordering import _nth_bit, forbidden_colours, greedy_extend
+from hyperchrom.pipeline import PipelineParams, split_by_size
 
 from tests._naive import (
     naive_forbidden_colours,
@@ -367,6 +369,41 @@ class TestPartitionExtremal:
             assert cert.property_flags == _extremal_flags(
                 h, t, Fraction(1, 10), Fraction(1, 4), 3, cert
             )
+
+
+class TestPartitionOnEdgeIds:
+    def test_matches_sub_hypergraph_on_corpus(self, corpus):
+        # the pipeline partitions its large (stability) and medium-and-large
+        # (extremal) edges on H's own rows; that must be the partition of
+        # their sub-hypergraph, with its edge ids mapped back
+        params, rng = PipelineParams(), random.Random(11)
+        seen = {"split": 0, "P'1": 0}
+        for h, t in corpus:
+            for r0, r1 in ((2, 2), (3, 2), (params.resolved_r0(h.n), params.r1)):
+                split = split_by_size(h, r0, r1)
+                chosen = tuple(sorted(rng.sample(range(h.m), h.m // 2)))
+                for ids in (split.lrg, tuple(sorted(split.med + split.lrg)), chosen):
+                    sub, back = subhypergraph(h, ids)
+                    for partition, args in (
+                        (partition_stability, (params.sigma, params.delta)),
+                        (partition_extremal, (params.delta, params.gamma, r0)),
+                    ):
+                        want = partition(sub, t, *args)
+                        got = partition(h, t, *args, edge_ids=ids)
+                        assert got.parts == {
+                            k: tuple(back[i] for i in part) for k, part in want.parts.items()
+                        }
+                        assert got.property_flags == want.property_flags
+                        # edge witnesses are ids; P1's is a size pair, P2's a volume
+                        assert got.witness == {
+                            k: back[w] if isinstance(w, int) else w
+                            for k, w in want.witness.items()
+                        }
+                        assert got.vacuous == want.vacuous
+                        assert got.notes == want.notes
+                        seen["split"] += any(want.parts.get(k) for k in ("H2", "H3"))
+                        seen["P'1"] += "P'1" in want.witness
+        assert seen["split"] >= 50 and seen["P'1"] >= 50, seen
 
 
 class TestGreedyListColour:

@@ -559,7 +559,8 @@ class TestColourMain:
 class TestForbiddenMaps:
     def test_maps_are_large_edge_colours_of_a_row_scan(self, monkeypatch):
         # the sml map and the stability script's med map: for each edge, the
-        # colours of the large edges that meet it, all of them coloured by then
+        # colours of the large edges that meet it, all of them coloured by
+        # then; with no large edge coloured no map is built
         real, calls = pipeline.forbidden_colours, []
 
         def spy(h, edge_ids, col):
@@ -569,7 +570,10 @@ class TestForbiddenMaps:
 
         monkeypatch.setattr(pipeline, "forbidden_colours", spy)
         corpus = make_corpus(12, base_seed=6300, n_range=(6, 12), t_range=(1, 2), size_hi=6)
-        for h, t in corpus:
+        # a medium and a small edge that meet no large edge, so that both maps
+        # hold edges with nothing forbidden
+        apart = Hypergraph(14, [tuple(range(6)), (0, 6, 7), (8, 9, 10), (1, 8), (11, 12)])
+        for h, t in [*corpus, (apart, 1)]:
             for r0, r1 in ((2, 2), (3, 2), (4, 3), (None, 4)):
                 params = PipelineParams(r0=r0, r1=r1)
                 split = split_by_size(h, params.resolved_r0(h.n), params.r1)
@@ -578,7 +582,7 @@ class TestForbiddenMaps:
         kinds = set()
         for h, split, ids, col, got in calls:
             assert got == naive_forbidden_colours(h, ids, col)
-            assert set(col) == set(split.lrg)
+            assert col and set(col) == set(split.lrg)
             assert ids in (split.sml, split.med)
-            kinds.add((ids == split.sml, any(got.values())))
+            kinds.update((ids == split.sml, bool(cs)) for cs in got.values())
         assert kinds == {(True, True), (False, True), (True, False), (False, False)}
