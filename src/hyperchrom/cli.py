@@ -289,10 +289,8 @@ def _cmd_color(args) -> int:
     params = {
         "mode": args.mode,
         "t": args.t,
-        "eps": args.eps,
         "delta": args.delta,
         "gamma": args.gamma,
-        "sigma": args.sigma,
         "r0": args.r0,
         "r1": args.r1,
         "exact_budget": args.exact_budget,
@@ -303,10 +301,8 @@ def _cmd_color(args) -> int:
             args.t,
             lists,
             PipelineParams(
-                eps=args.eps,
                 delta=args.delta,
                 gamma=args.gamma,
-                sigma=args.sigma,
                 r0=args.r0,
                 r1=args.r1,
                 seed=args.seed,
@@ -580,10 +576,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--mode", choices=["extremal", "pipeline"], default="pipeline")
     p.add_argument("--lists", required=True, help="uniform:K or a lists file")
-    p.add_argument("--eps", type=_fraction, default=Fraction(1, 4))
     p.add_argument("--delta", type=_fraction, default=Fraction(1, 10))
     p.add_argument("--gamma", type=_fraction, default=Fraction(1, 8))
-    p.add_argument("--sigma", type=_fraction, default=Fraction(1, 50))
     p.add_argument("--r0", type=int)
     p.add_argument("--r1", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)

@@ -1,12 +1,13 @@
 """End-to-end list-colouring pipelines built as fallback ladders.
 
-Two entry points.  ``colour_stability`` splits edges by size, reserves a
-random colour block R, partitions the large edges into H2 < W < H1 and
-colours W from the unreserved colours, H2 from R, H1 greedily, then the
-medium edges from R and the small ones from the rest.  ``colour_main``
-answers intersecting instances exactly with one matching; on the others it
-first tries that script, then a second script around ``partition_extremal``
-and the extremal ladder, and finally the exact solver on tiny instances.
+Two entry points.  ``colour_main``, the default ``color``, answers
+intersecting instances exactly with one matching; on the others it runs one
+staged script around ``partition_extremal`` and the extremal ladder, then
+the exact solver on tiny instances.  ``colour_stability`` is a library
+entry that no ladder calls: it splits edges by size, reserves a random
+colour block R, partitions the large edges into H2 < W < H1 and colours W
+from the unreserved colours, H2 from R, H1 greedily, then the medium edges
+from R and the small ones from the rest.
 
 The staged script is only guaranteed to work out at astronomically large n;
 at usable sizes any stage may fail, so every run carries a stage-by-stage
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
@@ -90,10 +91,9 @@ class PipelineParams:
     """Desk-scale defaults; every knob overridable.
 
     r0=None means "computed per instance" as ceil(sqrt(n)) + 2 (never below
-    r1).  eps only feeds informational premise notes.
+    r1).  sigma is read only by ``colour_stability``.
     """
 
-    eps: Fraction = Fraction(1, 4)
     delta: Fraction = Fraction(1, 10)
     gamma: Fraction = Fraction(1, 8)
     sigma: Fraction = Fraction(1, 50)
@@ -103,7 +103,7 @@ class PipelineParams:
     exact_budget: int = 12
 
     def __post_init__(self):
-        for name in ("eps", "delta", "gamma", "sigma"):
+        for name in ("delta", "gamma", "sigma"):
             value = as_fraction(getattr(self, name))
             object.__setattr__(self, name, value)
             if not 0 < value < 1:
@@ -487,43 +487,18 @@ def _stability_middle(
     if not split.med:
         s.record("med", "skipped", "no medium edges")
         return None
-    med_lists = _restrict(lm, split.med, reserved)
     got = colour_small(
         h,
         split.med,
-        med_lists,
+        _restrict(lm, split.med, reserved),
         forbidden_colours(h, split.med, col) if col else None,
         seed=params.seed + 1,
     )
     if isinstance(got, ColouringFailure):
         return s.fail("med", got.detail, got.stuck_edge)
     col.update(got)
-    s.record(
-        "med",
-        "ok",
-        _kahn_note(h, split.med, med_lists, params.eps, t),
-        colours_used=len(set(got.values())),
-        seed=params.seed + 1,
-    )
+    s.record("med", "ok", colours_used=len(set(got.values())), seed=params.seed + 1)
     return None
-
-
-def _kahn_note(
-    h: Hypergraph,
-    ids: tuple[int, ...],
-    lists: ListMasks,
-    eps: Fraction,
-    t: int,
-) -> str:
-    """Informational only: would the nibble's list-size premise hold here?
-    ``lists`` are the block's lists, C∩R."""
-    if not ids:
-        return "kahn_premise_ok=vacuous"
-    rows, block = h.view.rows, sum(1 << e for e in ids)
-    max_deg = max((rows[e] & block).bit_count() for e in ids)
-    min_list = min(lists.masks[e].bit_count() for e in ids)
-    ok = min_list >= (1 + eps) * max_deg
-    return f"kahn_premise_ok={ok} (min_list={min_list}, max_block_degree={max_deg})"
 
 
 def colour_main(
@@ -532,14 +507,15 @@ def colour_main(
     lists: Mapping[int, Iterable[int]],
     params: PipelineParams | None = None,
 ) -> PipelineRun:
-    """Full ladder: stability script, extremal script, exact search.
+    """Full ladder: the main script, then exact search.
 
     An intersecting H (every two edges meet, as in t-fold planes and
-    near-pencils) skips the ladder: see ``_colour_intersecting``.  The
-    extremal script reserves a block R with probability 2*gamma, gives
-    medium edges C∩R and large edges their full lists, partitions med∪lrg
-    into H3 < H2 < H1, colours H3 by the extremal ladder and the rest
-    greedily, then the small edges from C\\R.
+    near-pencils) skips the ladder: see ``_colour_intersecting``.  The main
+    script, whose stages are prefixed ``main:``, reserves a block R with
+    probability 2*gamma, gives medium edges C∩R and large edges their full
+    lists, partitions med∪lrg into H3 < H2 < H1, colours H3 by the extremal
+    ladder and the rest greedily, then the small edges from C\\R.  If it
+    fails, ``exact`` searches for a colouring when e(H) <= exact_budget.
     """
     if t < 1:
         raise ValueError("t must be positive")
@@ -547,14 +523,9 @@ def colour_main(
     allowed = normalize_lists(h, lists)
     if h.m and predicates(h).is_intersecting:
         return _colour_intersecting(h, allowed)
-    sub_run = colour_stability(h, t, allowed, params)
-    stages = [replace(r, stage=f"stability:{r.stage}") for r in sub_run.stages]
-    if sub_run.ok:
-        return PipelineRun(sub_run.outcome, tuple(stages))
-
     script = _Script(h, t, allowed, list_masks(allowed), params, prefix="main:")
     outcome = _run_script(script, params.gamma, 3, _extremal_middle)
-    stages.extend(script.stages)
+    stages = script.stages
     if not isinstance(outcome, ColouringFailure):
         return PipelineRun(outcome, tuple(stages))
 

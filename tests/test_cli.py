@@ -179,6 +179,21 @@ class TestOrder:
         assert set(rep["certificates"]["parts"]) == {"H1", "H2", "W"}
         assert all(rep["certificates"]["property_flags"].values())
 
+    def test_stability_partition_keeps_sigma(self, tmp_path, capsys):
+        h = random_bounded_codegree(
+            GeneratorParams(seed=0, n=8, t=1, size_range=(2, 6), density=16)
+        )
+        path = _write(tmp_path, "random.hg", h)
+        args = ["order", "--in", path, "--t", "1", "--partition", "stability"]
+        reports = []
+        for extra in ([], ["--sigma", "1/50"]):
+            assert main(args + extra) == 0
+            rep = _report(capsys)
+            del rep["wall_time_ms"]
+            reports.append(rep)
+        assert reports[0] == reports[1]
+        assert reports[1]["parameters"]["sigma"] == "1/50"
+
     def test_extremal_partition_report(self, tmp_path, capsys, fano):
         path = _write(tmp_path, "fano.hg", fano)
         assert main(
@@ -221,6 +236,28 @@ class TestColor:
         assert first["input_digest"] == second["input_digest"]
         assert first["outcome"] == second["outcome"]
         assert first["colours_used"] == second["colours_used"]
+
+    @pytest.mark.parametrize("flag", [["--sigma", "1/50"], ["--eps", "1/4"]])
+    def test_stability_knobs_are_usage_errors(self, tmp_path, capsys, fano, flag):
+        path = _write(tmp_path, "fano.hg", fano)
+        args = ["color", "--in", path, "--t", "1", "--lists", "uniform:7", *flag]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
+
+    def test_pipeline_report_is_one_script(self, tmp_path, capsys):
+        # not intersecting, so the staged script runs
+        h = random_bounded_codegree(
+            GeneratorParams(seed=0, n=8, t=1, size_range=(2, 6), density=16)
+        )
+        path = _write(tmp_path, "random.hg", h)
+        assert main(["color", "--in", path, "--t", "1", "--lists", "uniform:11"]) == 0
+        rep = _report(capsys)
+        assert not {"eps", "sigma"} & set(rep["parameters"])
+        stages = [s["stage"] for s in rep["certificates"]["stages"]]
+        assert stages[-1] == "main:validate"
+        assert not any(name.startswith("stability:") for name in stages)
 
     def test_extremal_mode(self, tmp_path, capsys, fano):
         path = _write(tmp_path, "fano.hg", fano)

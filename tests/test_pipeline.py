@@ -340,7 +340,6 @@ class TestColourStability:
         assert run.ok
         med = next(s for s in run.stages if s.stage == "med")
         assert med.status == "ok"
-        assert "kahn_premise_ok" in med.detail
 
     def test_medium_and_small_colours_disjoint(self):
         # spokes are small, the rim is medium: med colours come from R,
@@ -407,7 +406,7 @@ class TestColourMain:
         assert len(set(run.outcome.values())) == 6
 
     def test_ladder_reaches_exact_rung(self):
-        # uniform lists of size 9 are too tight for both scripts on the
+        # uniform lists of size 9 are too tight for the main script on the
         # near-pencil with one more, disjoint edge, but the oracle settles it
         h = _with_disjoint_edge(near_pencil(9), 1)
         lists = uniform_lists(h, 9)
@@ -415,10 +414,16 @@ class TestColourMain:
         assert run.ok
         assert validate_colouring(h, run.outcome, lists=lists).valid
         assert len(set(run.outcome.values())) == 9
-        stages = _stage_map(run)
-        assert stages["stability:reserve"] == "failed"
-        assert stages["main:sml"] == "failed"
-        assert stages["exact"] == "ok"
+        assert _stage_list(run) == [
+            ("main:split", "ok"),
+            ("main:reserve", "ok"),
+            ("main:partition", "ok"),
+            ("main:H3", "skipped"),
+            ("main:H2", "ok"),
+            ("main:H1", "ok"),
+            ("main:sml", "failed"),
+            ("exact", "ok"),
+        ]
 
     def test_fano_six_lists_proved_impossible(self, fano):
         h = _with_disjoint_edge(fano, 1)
@@ -436,20 +441,23 @@ class TestColourMain:
         assert _stage_map(run)["exact"] == "skipped"
 
     def test_stages_when_stability_colours(self, fano):
+        # an instance that colour_stability colours: colour_main does not
+        # run that script, and its main script colours the instance alone
         params = PipelineParams(r0=2, r1=2)
         h = _with_disjoint_edge(fano, 3)
-        run = colour_main(h, 1, uniform_lists(h, 50), params)
+        lists = uniform_lists(h, 50)
+        assert colour_stability(h, 1, lists, params).ok
+        run = colour_main(h, 1, lists, params)
         assert run.ok
         assert _stage_list(run) == [
-            ("stability:split", "ok"),
-            ("stability:reserve", "ok"),
-            ("stability:lrg-partition", "ok"),
-            ("stability:lrg-W", "ok"),
-            ("stability:lrg-H2", "ok"),
-            ("stability:lrg-H1", "ok"),
-            ("stability:med", "skipped"),
-            ("stability:sml", "skipped"),
-            ("stability:validate", "ok"),
+            ("main:split", "ok"),
+            ("main:reserve", "ok"),
+            ("main:partition", "ok"),
+            ("main:H3", "skipped"),
+            ("main:H2", "ok"),
+            ("main:H1", "ok"),
+            ("main:sml", "skipped"),
+            ("main:validate", "ok"),
         ]
 
     def test_stages_when_main_script_colours(self):
@@ -459,8 +467,6 @@ class TestColourMain:
         run = colour_main(h, 1, uniform_lists(h, 11))
         assert run.ok
         assert _stage_list(run) == [
-            ("stability:split", "ok"),
-            ("stability:reserve", "failed"),
             ("main:split", "ok"),
             ("main:reserve", "ok"),
             ("main:partition", "ok"),
@@ -475,11 +481,6 @@ class TestColourMain:
         run = colour_main(_with_disjoint_edge(triangle, 1), 1, {e: [0, 1] for e in range(4)})
         assert not run.ok
         assert _stage_list(run) == [
-            ("stability:split", "ok"),
-            ("stability:reserve", "skipped"),
-            ("stability:lrg-partition", "skipped"),
-            ("stability:med", "skipped"),
-            ("stability:sml", "failed"),
             ("main:split", "ok"),
             ("main:reserve", "skipped"),
             ("main:sml", "failed"),
@@ -544,6 +545,27 @@ class TestColourMain:
                     assert run.outcome.detail.startswith("Hall violator")
         assert answers[True] >= 10 and answers[False] >= 10, answers
 
+    def test_main_script_colours_what_stability_colours(self):
+        # colour_main does not run the stability script: on seeded
+        # non-intersecting instances with tn lists, each one that
+        # colour_stability colours, the main script colours as well
+        params = PipelineParams()
+        corpus = make_corpus(20, base_seed=7000)  # small edges only
+        corpus += make_corpus(30, base_seed=7500, n_range=(9, 16), size_hi=6)
+        corpus += make_corpus(30, base_seed=7300, n_range=(8, 16), size_hi=9)
+        kinds = set()
+        for h, t in corpus:
+            lists = uniform_lists(h, t * h.n)
+            if predicates(h).is_intersecting or not colour_stability(h, t, lists).ok:
+                continue
+            split = split_by_size(h, params.resolved_r0(h.n), params.r1)
+            kinds.add("lrg" if split.lrg else "med" if split.med else "sml-only")
+            run = colour_main(h, t, lists, params)
+            assert run.ok
+            assert not any(s.stage.startswith("stability:") for s in run.stages)
+            assert naive_validate(h, run.outcome, lists)
+        assert kinds == {"sml-only", "med", "lrg"}
+
     def test_success_validates_on_corpus(self):
         for h, t in make_corpus(10, base_seed=6200, n_range=(5, 12), t_range=(1, 2)):
             lists = uniform_lists(h, t * h.n)
@@ -558,9 +580,9 @@ class TestColourMain:
 
 class TestForbiddenMaps:
     def test_maps_are_large_edge_colours_of_a_row_scan(self, monkeypatch):
-        # the sml map and the stability script's med map: for each edge, the
-        # colours of the large edges that meet it, all of them coloured by
-        # then; with no large edge coloured no map is built
+        # the sml map of both scripts and the stability script's med map: for
+        # each edge, the colours of the large edges that meet it, all of them
+        # coloured by then; with no large edge coloured no map is built
         real, calls = pipeline.forbidden_colours, []
 
         def spy(h, edge_ids, col):
@@ -579,6 +601,7 @@ class TestForbiddenMaps:
                 split = split_by_size(h, params.resolved_r0(h.n), params.r1)
                 for k in (t * h.n, 80):  # long lists let the stability script reach med
                     colour_main(h, t, uniform_lists(h, k), params)
+                    colour_stability(h, t, uniform_lists(h, k), params)
         kinds = set()
         for h, split, ids, col, got in calls:
             assert got == naive_forbidden_colours(h, ids, col)
