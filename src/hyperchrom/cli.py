@@ -18,43 +18,15 @@ import functools
 import hashlib
 import json
 import os
-import random
 import sys
 import time
 from fractions import Fraction
 
 from . import __version__  # noqa: F401  (re-exported metadata)
-from .characterize import classify_extremal, debruijn_erdos_check, intersecting_bound
-from .extremal import colour_extremal
-from .generators import (
-    GeneratorParams,
-    near_pencil,
-    projective_plane,
-    random_bounded_codegree,
-    t_fold,
-)
-from .hypercore import (
-    ColouringFailure,
-    Hypergraph,
-    degree_stats,
-    dual,
-    is_isomorphic,
-    predicates,
-    restrict_and_induce,
-    uniform_lists,
-    validate_colouring,
-    volume,
-)
-from .oracle import BudgetExceeded, OracleBudget, exact_chromatic_index, exact_list_colourable
-from .ordering import (
-    EdgeOrdering,
-    forward_degrees,
-    greedy_list_colour,
-    partition_extremal,
-    partition_stability,
-    reorder,
-)
-from .pipeline import PipelineParams, colour_main
+
+# parsing and reporting need only these; each handler below imports the
+# modules it runs when it starts, so a call loads only its subcommand's code
+from .hypercore import ColouringFailure, Hypergraph, uniform_lists
 
 __all__ = ["parse_hg", "format_hg", "main"]
 
@@ -172,16 +144,17 @@ def _parse_lists(spec: str, h: Hypergraph) -> dict[int, frozenset[int]]:
             raise ValueError(f"lists {spec!r}: K must be a non-negative integer")
         return uniform_lists(h, k)
     with open(spec, encoding="utf-8") as fh:
-        lines = [
-            line.split("#", 1)[0].strip()
-            for line in fh
-        ]
-    rows = [line for line in lines if line]
+        lines = [line.split("#", 1)[0].strip() for line in fh]
+    rows = [(lineno, line) for lineno, line in enumerate(lines, start=1) if line]
     if len(rows) != h.m:
         raise ValueError(f"lists file holds {len(rows)} lines, need one per edge ({h.m})")
-    return {
-        e: frozenset(int(tok) for tok in row.split()) for e, row in enumerate(rows)
-    }
+    lists = {}
+    for e, (lineno, row) in enumerate(rows):
+        try:
+            lists[e] = frozenset(map(int, row.split()))
+        except ValueError:
+            raise ValueError(f"lists file line {lineno}: colours must be integers") from None
+    return lists
 
 
 def _default_time_cap() -> int:
@@ -195,6 +168,14 @@ def _default_time_cap() -> int:
 
 
 def _cmd_gen(args) -> int:
+    from .generators import (
+        GeneratorParams,
+        near_pencil,
+        projective_plane,
+        random_bounded_codegree,
+        t_fold,
+    )
+
     started = time.monotonic()
     if args.family == "plane":
         if args.q is None:
@@ -244,6 +225,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_order(args) -> int:
+    from .ordering import forward_degrees, partition_extremal, partition_stability, reorder
+
     started = time.monotonic()
     h, digest = _read_input(args.input)
     params: dict = {"t": args.t}
@@ -252,7 +235,11 @@ def _cmd_order(args) -> int:
             cert = partition_stability(h, args.t, args.sigma, args.delta)
             params.update(partition="stability", sigma=args.sigma, delta=args.delta)
         else:
-            r0 = args.r0 if args.r0 is not None else PipelineParams().resolved_r0(h.n)
+            r0 = args.r0
+            if r0 is None:
+                from .pipeline import PipelineParams  # the pipeline's default r0
+
+                r0 = PipelineParams().resolved_r0(h.n)
             cert = partition_extremal(h, args.t, args.delta, args.gamma, r0)
             params.update(partition="extremal", delta=args.delta, gamma=args.gamma, r0=r0)
         ordering = cert.ordering
@@ -283,6 +270,9 @@ def _cmd_order(args) -> int:
 
 
 def _cmd_color(args) -> int:
+    from .extremal import colour_extremal
+    from .pipeline import PipelineParams, colour_main
+
     started = time.monotonic()
     h, digest = _read_input(args.input)
     lists = _parse_lists(args.lists, h)
@@ -331,6 +321,13 @@ def _cmd_color(args) -> int:
 
 
 def _cmd_exact(args) -> int:
+    from .oracle import (
+        BudgetExceeded,
+        OracleBudget,
+        exact_chromatic_index,
+        exact_list_colourable,
+    )
+
     started = time.monotonic()
     h, digest = _read_input(args.input)
     budget = OracleBudget(
@@ -354,6 +351,8 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .characterize import classify_extremal, debruijn_erdos_check, intersecting_bound
+
     started = time.monotonic()
     h, digest = _read_input(args.input)
     ib = intersecting_bound(h, args.t)
@@ -379,6 +378,18 @@ def _check(checks: list, name: str, ok: bool | None, detail: str = "") -> None:
 
 
 def _cmd_verify(args) -> int:
+    from .characterize import intersecting_bound
+    from .hypercore import (
+        degree_stats,
+        dual,
+        is_isomorphic,
+        restrict_and_induce,
+        validate_colouring,
+        volume,
+    )
+    from .oracle import BudgetExceeded, OracleBudget, exact_chromatic_index
+    from .ordering import EdgeOrdering, forward_degrees, greedy_list_colour, reorder
+
     started = time.monotonic()
     time_cap_ms = _default_time_cap()  # a bad value is a usage error at any size
     h, digest = _read_input(args.input)
@@ -469,6 +480,12 @@ def _cmd_verify(args) -> int:
 
 
 def _sweep_one(task: tuple[int, int]) -> dict:
+    import random
+
+    from .generators import GeneratorParams, random_bounded_codegree
+    from .hypercore import validate_colouring
+    from .pipeline import PipelineParams, colour_main
+
     index, seed = task
     rng = random.Random(seed)
     n = rng.randint(6, 14)
@@ -521,14 +538,22 @@ def _fraction(text: str) -> Fraction:
     return Fraction(text)
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, low: int, kind: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+        value = low - 1
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {text!r}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1, "positive")
+
+
+def _non_negative_int(text: str) -> int:
+    return _int_at_least(text, 0, "non-negative")
 
 
 @functools.cache
@@ -550,7 +575,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=["plane", "pencil", "random"], required=True)
     p.add_argument("--q", type=int, help="projective plane order")
     p.add_argument("--n", type=int, help="vertex count (pencil/random)")
-    p.add_argument("--fold", type=int, default=1, help="replace each edge by this many copies")
+    p.add_argument(
+        "--fold", type=_positive_int, default=1, help="replace each edge by this many copies"
+    )
     p.add_argument("--t", type=int, default=1, help="codegree cap for --family random")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--min-size", type=int, default=2)
@@ -604,9 +631,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("sweep", help="seeded corpus run with aggregated results")
-    p.add_argument("--count", type=int, default=50)
+    p.add_argument("--count", type=_non_negative_int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.set_defaults(func=_cmd_sweep)
 
     return parser

@@ -1,13 +1,19 @@
-"""Shared fixtures: hand-built reference instances and a seeded corpus.
+"""Shared fixtures: hand-built reference instances, a seeded corpus, and
+probes run in a fresh interpreter.
 
 The Fano lines here come from the {0,1,3} difference set mod 7 so that
 tests of the field-based plane generator have an independent target.
 """
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hyperchrom
 from hyperchrom import GeneratorParams, Hypergraph, random_bounded_codegree
 
 FANO_LINES = tuple(
@@ -55,3 +61,16 @@ def make_corpus(count, base_seed, n_range=(5, 14), t_range=(1, 3), size_hi=4):
 @pytest.fixture(scope="session")
 def corpus():
     return make_corpus(40, base_seed=1000)
+
+
+def fresh_process(probe: str, *argv: str) -> str:
+    """Run ``probe`` in a new interpreter that imports this checkout's package."""
+    src = Path(hyperchrom.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", probe, *argv],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    return out.stdout.strip()

@@ -1,15 +1,9 @@
 """Flat-file formats and the command line front end."""
 
 import json
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
-
-import hyperchrom
 
 from hyperchrom import (
     GeneratorParams,
@@ -23,7 +17,7 @@ from hyperchrom import (
 from hyperchrom import cli
 from hyperchrom.cli import build_parser, format_hg, main, parse_hg
 from tests._naive import naive_validate
-from tests.conftest import make_corpus
+from tests.conftest import fresh_process, make_corpus
 
 
 def _write(tmp_path, name, h):
@@ -143,6 +137,12 @@ class TestGen:
     def test_missing_flag_is_usage_error(self, capsys):
         assert main(["gen", "--family", "plane"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("fold", ["0", "-2"])
+    def test_fold_below_one_is_usage_error(self, capsys, fold):
+        assert main(["gen", "--family", "plane", "--q", "2", "--fold", fold]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--fold" in captured.err
 
 
 class TestOrder:
@@ -351,6 +351,18 @@ class TestColor:
         assert main(["color", "--in", path, "--t", "1", "--lists", str(lists)]) == 2
         assert "one per edge" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["color", "exact"])
+    def test_lists_file_non_integer_colour_names_its_line(self, tmp_path, capsys, triangle, command):
+        # blank and comment lines count toward the line number, as in .hg files
+        path = _write(tmp_path, "tri.hg", triangle)
+        lists = tmp_path / "lists.txt"
+        lists.write_text("# one line per edge\n1 2 3\n\n1 x 3\n1 2 3\n")
+        args = [command, "--in", path, "--lists", str(lists)]
+        assert main(args + (["--t", "1"] if command == "color" else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: lists file line 4: colours must be integers\n"
+
 
 class TestExact:
     def test_fano_chromatic_index(self, tmp_path, capsys, fano):
@@ -502,6 +514,24 @@ class TestSweep:
         assert pooled["certificates"]["rows"] == serial["certificates"]["rows"]
         assert pooled["outcome"] == serial["outcome"]
 
+    @pytest.mark.parametrize("count", ["-1", "-7", "x"])
+    def test_negative_count_is_usage_error(self, capsys, count):
+        assert main(["sweep", "--count", count]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--count" in captured.err
+
+    def test_zero_count_is_an_empty_sweep(self, capsys):
+        assert main(["sweep", "--count", "0"]) == 0
+        rep = _report(capsys)
+        assert rep["outcome"] == {"ok": 0, "failed": 0, "invalid": 0}
+        assert rep["certificates"]["rows"] == []
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_usage_error(self, capsys, jobs):
+        assert main(["sweep", "--count", "2", "--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--jobs" in captured.err
+
     def test_sweep_deterministic(self, capsys):
         assert main(["sweep", "--count", "3", "--seed", "9"]) == 0
         first = _report(capsys)
@@ -572,17 +602,45 @@ class TestRepeatedCalls:
         assert build_parser.cache_info().misses == misses
 
     def test_import_loads_no_process_pool(self):
-        src = Path(hyperchrom.__file__).resolve().parents[1]
         probe = (
             "import sys, hyperchrom.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'"
             " or m == 'concurrent.futures.process'))"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", probe],
-            capture_output=True,
-            text=True,
-            check=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
+        assert fresh_process(probe) == "[]"
+
+
+class TestImports:
+    """A CLI call loads only the modules its subcommand runs."""
+
+    def test_import_loads_parsing_and_reporting_only(self):
+        probe = (
+            "import sys, hyperchrom.cli; "
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('hyperchrom'))))"
         )
-        assert out.stdout.strip() == "[]"
+        assert fresh_process(probe) == "hyperchrom hyperchrom.cli hyperchrom.hypercore"
+
+    @pytest.mark.parametrize(
+        "argv, loaded",
+        [
+            (["exact", "--in", "{hg}"], "_kernel_py oracle"),
+            (["exact", "--in", "{hg}", "--lists", "uniform:3"], "_kernel_py oracle"),
+            (["classify", "--in", "{hg}"], "characterize"),
+            (["gen", "--family", "pencil", "--n", "4"], "generators"),
+            (["order", "--in", "{hg}", "--t", "1"], "exactarith ordering"),
+            (["order", "--in", "{hg}", "--t", "1", "--partition", "stability"], "exactarith ordering"),
+        ],
+        ids=["exact", "exact-lists", "classify", "gen", "order", "order-stability"],
+    )
+    def test_subcommand_loads_only_its_modules(self, tmp_path, triangle, argv, loaded):
+        hg = _write(tmp_path, "tri.hg", triangle)
+        probe = (
+            "import contextlib, io, sys\n"
+            "from hyperchrom.cli import main\n"
+            "before = set(sys.modules)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    main(sys.argv[1:])\n"
+            "print(' '.join(sorted(m.split('.', 1)[1] for m in set(sys.modules) - before"
+            " if m.startswith('hyperchrom.'))))"
+        )
+        assert fresh_process(probe, *(a.format(hg=hg) for a in argv)) == loaded
