@@ -65,79 +65,7 @@ _MODULES = frozenset(_EXPORTS.values()) | {"_kernel_py", "_matching", "exactarit
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Hypergraph",
-    "Graph",
-    "DegreeStats",
-    "Predicates",
-    "Neighbourhoods",
-    "ValidationReport",
-    "ColouringFailure",
-    "degree_stats",
-    "volume",
-    "dual",
-    "line_graph",
-    "predicates",
-    "neighbourhoods",
-    "validate_colouring",
-    "restrict_and_induce",
-    "subhypergraph",
-    "uniform_lists",
-    "canonical_form",
-    "is_isomorphic",
-    "GeneratorParams",
-    "projective_plane",
-    "near_pencil",
-    "t_fold",
-    "from_cliques",
-    "random_bounded_codegree",
-    "EdgeOrdering",
-    "ReorderOutcome",
-    "PartitionCertificate",
-    "forward_degrees",
-    "size_monotone_ordering",
-    "reorder",
-    "partition_stability",
-    "partition_extremal",
-    "greedy_list_colour",
-    "ComplementMatching",
-    "UsefulFamily",
-    "ExtremalReport",
-    "is_t_useful",
-    "maximal_complement_matching",
-    "colour_from_matching",
-    "useful_cover_colour",
-    "find_useful_family",
-    "colour_extremal",
-    "OracleBudget",
-    "BudgetExceeded",
-    "ListColourResult",
-    "kernel_name",
-    "exact_chromatic_index",
-    "exact_list_colourable",
-    "enumerate_hypergraphs",
-    "SizeSplit",
-    "ReservedColours",
-    "PipelineParams",
-    "StageRecord",
-    "PipelineRun",
-    "split_by_size",
-    "reserve_colours",
-    "colour_small",
-    "colour_sparse_block",
-    "colour_stability",
-    "colour_main",
-    "TFoldProjectivePlane",
-    "TFoldNearPencil",
-    "NotExtremal",
-    "NotApplicable",
-    "Classification",
-    "motzkin_check",
-    "intersecting_bound",
-    "classify_extremal",
-    "debruijn_erdos_check",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]
 
 
 def __getattr__(name: str):

@@ -225,7 +225,13 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_order(args) -> int:
-    from .ordering import forward_degrees, partition_extremal, partition_stability, reorder
+    from .ordering import (
+        default_r0,
+        forward_degrees,
+        partition_extremal,
+        partition_stability,
+        reorder,
+    )
 
     started = time.monotonic()
     h, digest = _read_input(args.input)
@@ -235,11 +241,7 @@ def _cmd_order(args) -> int:
             cert = partition_stability(h, args.t, args.sigma, args.delta)
             params.update(partition="stability", sigma=args.sigma, delta=args.delta)
         else:
-            r0 = args.r0
-            if r0 is None:
-                from .pipeline import PipelineParams  # the pipeline's default r0
-
-                r0 = PipelineParams().resolved_r0(h.n)
+            r0 = default_r0(h.n) if args.r0 is None else args.r0
             cert = partition_extremal(h, args.t, args.delta, args.gamma, r0)
             params.update(partition="extremal", delta=args.delta, gamma=args.gamma, r0=r0)
         ordering = cert.ordering
@@ -270,9 +272,6 @@ def _cmd_order(args) -> int:
 
 
 def _cmd_color(args) -> int:
-    from .extremal import colour_extremal
-    from .pipeline import PipelineParams, colour_main
-
     started = time.monotonic()
     h, digest = _read_input(args.input)
     lists = _parse_lists(args.lists, h)
@@ -286,6 +285,8 @@ def _cmd_color(args) -> int:
         "exact_budget": args.exact_budget,
     }
     if args.mode == "pipeline":
+        from .pipeline import PipelineParams, colour_main
+
         run = colour_main(
             h,
             args.t,
@@ -301,6 +302,8 @@ def _cmd_color(args) -> int:
         )
         outcome, certificates = run.outcome, {"stages": run.stages}
     else:
+        from .extremal import colour_extremal
+
         outcome, rep = colour_extremal(
             h, args.t, lists, delta=args.delta, exact_budget=args.exact_budget
         )

@@ -17,15 +17,16 @@ from fractions import Fraction
 from math import isqrt
 from typing import Iterable, Mapping
 
-from . import _matching, oracle
+from . import _matching
 from .exactarith import as_fraction, cmp_to_scaled_sqrt, at_least_scaled_sqrt
 from .hypercore import (
     ColouringFailure,
     HallViolator,
     Hypergraph,
+    ListMasks,
     distinct_representatives,
+    edge_list_masks,
     mask_bits,
-    normalize_lists,
     predicates,
 )
 
@@ -133,31 +134,35 @@ def _first_disjoint_pair(h: Hypergraph) -> tuple[int, int] | None:
 def colour_from_matching(
     h: Hypergraph,
     matching: ComplementMatching,
-    lists: Mapping[int, Iterable[int]],
+    lists: Mapping[int, Iterable[int]] | ListMasks,
 ) -> dict[int, int] | ColouringFailure:
     """Colour with e(H) - |matching| colour classes: one per matched pair,
     one per leftover edge.
 
-    Requires every list to have at least e(H) - |matching| colours.  Classes
-    are processed by ascending flexibility (list size for singletons, common
-    list size for pairs); a used colour disappears from every list.  Pairs
-    whose lists have become disjoint are deferred and finished with a system
-    of distinct representatives, which the size precondition guarantees.
+    Requires every list to have at least e(H) - |matching| colours.  A
+    class may take the colours common to its lists (an AND of list masks)
+    that no class has used yet (one ``used`` mask).  Classes are processed
+    by ascending flexibility, the number of colours a class may take, and
+    take the smallest of them.  Pairs whose lists have no unused common
+    colour left are deferred and finished with a system of distinct
+    representatives, which the size precondition guarantees.
     """
     matching.validate(h)
-    allowed = normalize_lists(h, lists)
+    lm = edge_list_masks(h, lists)
+    masks = lm.masks
     k = h.m - matching.size
     for i in range(h.m):
-        if len(allowed[i]) < k:
-            raise ValueError(
-                f"edge {i} has {len(allowed[i])} colours; need at least {k}"
-            )
+        size = masks[i].bit_count()
+        if size < k:
+            raise ValueError(f"edge {i} has {size} colours; need at least {k}")
     covered = matching.covered()
     classes: list[tuple[int, ...]] = sorted(
         [tuple(sorted(p)) for p in matching.pairs]
         + [(i,) for i in range(h.m) if i not in covered]
     )
-    avail: dict[int, set[int]] = {i: set(allowed[i]) for i in range(h.m)}
+    # a singleton's "pair" is the edge twice
+    common = [masks[cls[0]] & masks[cls[-1]] for cls in classes]
+    used = 0
     colouring: dict[int, int] = {}
     pending = set(range(len(classes)))
 
@@ -165,35 +170,28 @@ def colour_from_matching(
         best_ci = None
         best_key: tuple | None = None
         for ci in pending:
-            cls = classes[ci]
-            if len(cls) == 1:
-                opts = avail[cls[0]]
-            else:
-                opts = avail[cls[0]] & avail[cls[1]]
+            opts = common[ci] & ~used
             if not opts:
                 continue
-            key = (len(opts), cls[0])
+            key = (opts.bit_count(), classes[ci][0])
             if best_key is None or key < best_key:
                 best_key = key
                 best_ci = ci
         if best_ci is None:
             break  # only common-free pairs remain
-        cls = classes[best_ci]
-        if len(cls) == 1:
-            colour = min(avail[cls[0]])
-        else:
-            colour = min(avail[cls[0]] & avail[cls[1]])
-        for e in cls:
+        opts = common[best_ci] & ~used
+        bit = opts & -opts
+        colour = lm.colours[bit.bit_length() - 1]
+        for e in classes[best_ci]:
             colouring[e] = colour
         pending.discard(best_ci)
-        for s in avail.values():
-            s.discard(colour)
+        used |= bit
 
     if pending:
         # distinct fresh colours for the leftover pair members
         edges = [e for ci in sorted(pending) for e in classes[ci]]
         assignment = distinct_representatives(
-            {e: frozenset(avail[e]) for e in edges}, edges
+            lm._replace(masks={e: masks[e] & ~used for e in edges}), edges
         )
         if isinstance(assignment, HallViolator):
             return ColouringFailure(
@@ -208,7 +206,7 @@ def useful_cover_colour(
     h: Hypergraph,
     t: int,
     family: UsefulFamily,
-    lists: Mapping[int, Iterable[int]],
+    lists: Mapping[int, Iterable[int]] | ListMasks,
 ) -> dict[int, int] | ColouringFailure:
     """Turn a useful family into a complement matching of size r+1 and colour.
 
@@ -234,8 +232,8 @@ def useful_cover_colour(
     for a, b in family.designated_pairs():
         if not is_t_useful(h, t, a, b):
             raise ValueError(f"designated pair ({a}, {b}) is not {t}-useful")
-    allowed = normalize_lists(h, lists)
-    if any(len(allowed[i]) < t * h.n for i in range(h.m)):
+    allowed = edge_list_masks(h, lists)
+    if any(allowed.masks[i].bit_count() < t * h.n for i in range(h.m)):
         raise ValueError("every list needs at least t*n colours")
 
     full = (1 << h.m) - 1
@@ -516,7 +514,7 @@ def _hub_growth(
 def colour_extremal(
     h: Hypergraph,
     t: int,
-    lists: Mapping[int, Iterable[int]],
+    lists: Mapping[int, Iterable[int]] | ListMasks,
     delta=Fraction(1, 10),
     exact_budget: int = 12,
 ) -> tuple[dict[int, int] | ColouringFailure, ExtremalReport]:
@@ -538,7 +536,8 @@ def colour_extremal(
     if t < 1:
         raise ValueError("t must be positive")
     delta = as_fraction(delta)
-    allowed = normalize_lists(h, lists)
+    allowed = edge_list_masks(h, lists)
+    shortest = min((allowed.masks[i].bit_count() for i in range(h.m)), default=0)
     attempts: list[str] = []
     tn = t * h.n
     size_ok = all(
@@ -567,7 +566,7 @@ def colour_extremal(
     elif h.m == tn:
         if not predicates(h).is_intersecting:
             cm = ComplementMatching((_first_disjoint_pair(h),))
-            if all(len(allowed[i]) >= h.m - 1 for i in range(h.m)):
+            if shortest >= h.m - 1:
                 out = colour_from_matching(h, cm, allowed)
                 if isinstance(out, dict):
                     return out, report("2: one disjoint pair (e = t*n)")
@@ -583,7 +582,7 @@ def colour_extremal(
 
     cm = maximal_complement_matching(h)
     matching_size = cm.size
-    if all(len(allowed[i]) >= h.m - cm.size for i in range(h.m)):
+    if shortest >= h.m - cm.size:
         out = colour_from_matching(h, cm, allowed)
         if isinstance(out, dict):
             return out, report("4: maximum complement matching")
@@ -592,9 +591,9 @@ def colour_extremal(
         attempts.append("rung 4 lists smaller than e(H) - |matching|")
 
     if h.m <= exact_budget:
-        res = oracle.exact_list_colourable(
-            h, allowed, oracle.OracleBudget(max_edges=exact_budget)
-        )
+        from .oracle import OracleBudget, exact_list_colourable
+
+        res = exact_list_colourable(h, allowed, OracleBudget(max_edges=exact_budget))
         if res.status == "yes":
             assert res.witness is not None
             return dict(res.witness), report("5: exact search")

@@ -28,7 +28,6 @@ __all__ = [
     "Neighbourhoods",
     "ValidationReport",
     "ColouringFailure",
-    "StarPigeonhole",
     "HallViolator",
     "ListMasks",
     "degree_stats",
@@ -38,6 +37,7 @@ __all__ = [
     "predicates",
     "neighbourhoods",
     "list_masks",
+    "edge_list_masks",
     "star_pigeonhole",
     "distinct_representatives",
     "validate_colouring",
@@ -372,23 +372,6 @@ def neighbourhoods(h: Hypergraph) -> Neighbourhoods:
     )
 
 
-class StarPigeonhole(NamedTuple):
-    """Certificate that a list assignment admits no proper colouring: the
-    ``edges`` through ``vertex`` pairwise intersect, yet their lists hold
-    only ``colours``, fewer colours than edges."""
-
-    vertex: int
-    edges: tuple[int, ...]
-    colours: frozenset[int]
-
-    @property
-    def detail(self) -> str:
-        return (
-            f"pigeonhole at vertex {self.vertex}: "
-            f"{len(self.edges)} edges, {len(self.colours)} colours"
-        )
-
-
 class ListMasks(NamedTuple):
     """Colour lists as bitmasks over their sorted union.
 
@@ -440,26 +423,38 @@ def list_masks(
     return ListMasks(colours, position, {e: done[cs] for e, cs in frozen.items()})
 
 
+def edge_list_masks(h: Hypergraph, lists: Mapping[int, Iterable[int]] | ListMasks) -> ListMasks:
+    """The lists of every edge of ``h`` as bitmasks: ``list_masks`` over the
+    edge ids 0..m-1, a ``ListMasks`` as it is.  The colouring routines
+    convert their lists here, once, on entry; an edge without a list
+    raises ``ValueError``."""
+    given = lists.masks if isinstance(lists, ListMasks) else lists
+    for i in range(h.m):
+        if i not in given:
+            raise ValueError(f"edge {i} has no colour list")
+    return list_masks(lists, range(h.m))
+
+
 def star_pigeonhole(
     h: Hypergraph, lists: Mapping[int, Iterable[int]] | ListMasks, block_mask: int
-) -> StarPigeonhole | None:
-    """The first vertex whose star has more edges than colours, or None.
+) -> HallViolator | None:
+    """The star of the lowest vertex with more edges than colours, as a
+    ``HallViolator``, or None.
 
     The edges of the block (the edge ids set in ``block_mask``) through one
     vertex pairwise intersect, so a proper colouring of the block from
     ``lists`` gives them distinct colours.  When the union of their lists
-    holds fewer colours than there are edges, no such colouring exists.
-    Returns ``(v, edge ids ascending, union of their lists)`` for the
-    lowest such vertex v.  The union is an OR of list masks and its size a
-    popcount; a star's edges are only listed when it has more edges than
-    the shortest list of the block, so the check costs O(n + sum |e|) when
-    it cannot fire.
+    holds fewer colours than there are edges, no such colouring exists:
+    the star (edge ids ascending) and that union are a Hall violator.  The
+    union is an OR of list masks and its size a popcount; a star's edges
+    are only listed when it has more edges than the shortest list of the
+    block, so the check costs O(n + sum |e|) when it cannot fire.
     """
     block = mask_bits(block_mask)
     lm = list_masks(lists, block)
     masks = lm.masks
     shortest = min((masks[e].bit_count() for e in block), default=0)
-    for v, star in enumerate(h.view.incidence):
+    for star in h.view.incidence:
         star &= block_mask
         if star.bit_count() <= shortest:
             continue
@@ -468,7 +463,7 @@ def star_pigeonhole(
         for e in edges:
             union |= masks[e]
         if union.bit_count() < len(edges):
-            return StarPigeonhole(v, tuple(edges), lm.decode(union))
+            return HallViolator(tuple(edges), lm.decode(union))
     return None
 
 
@@ -486,71 +481,65 @@ class HallViolator(NamedTuple):
 
 
 def distinct_representatives(
-    lists: Mapping[int, frozenset[int]], edge_ids: Iterable[int]
+    lists: Mapping[int, Iterable[int]] | ListMasks, edge_ids: Iterable[int]
 ) -> dict[int, int] | HallViolator:
     """Pairwise different colours for ``edge_ids``, each from its own list
     (a system of distinct representatives), or a ``HallViolator``.
 
-    The edges first take colours greedily, in the order given: each the
-    smallest colour of its list that no earlier edge took.  Colours only
-    get taken, so one cursor per distinct list walks it once, sorted once.
-    Where the greedy colours every edge, that is the answer.  Each edge it
-    leaves stuck starts an augmenting-path search (Kuhn) in the bipartite
-    graph of edges and colours, trying colours ascending.  By Hall's
-    theorem a search fails only when no system exists; the edges it then
-    reached (the stuck edge and the owners of the colours it visited) are
-    the violator, and the colours it visited, all owned by the others,
-    are the union of their lists.  Each search costs O(sum |L(e)|).
+    The lists are bitmasks (``list_masks``), so colours ascend with their
+    bits.  The edges first take colours greedily, in the order given: each
+    the lowest bit of its list that no earlier edge took.  Where the greedy
+    colours every edge, that is the answer.  Each edge it leaves stuck
+    starts an augmenting-path search (Kuhn) in the bipartite graph of
+    edges and colours, trying at each edge the lowest bit of its list that
+    the search has not reached.  By Hall's theorem a search fails only
+    when no system exists; the edges it then reached (the stuck edge and
+    the owners of the colours it reached) are the violator, and the
+    colours it reached, all owned by the others, are the union of their
+    lists.  Each search costs O(sum |L(e)|) bit operations.
     """
     ids = list(edge_ids)
-    sorted_lists: dict[frozenset[int], list[int]] = {}
-    cursor: dict[frozenset[int], int] = {}
-    ordered: dict[int, list[int]] = {}  # edge -> its list, ascending
-    owner: dict[int, int] = {}  # colour -> edge
-    colour_of: dict[int, int] = {}  # edge -> colour
+    lm = list_masks(lists, ids)
+    masks = lm.masks
+    owner: dict[int, int] = {}  # colour bit -> edge
+    colour_of: dict[int, int] = {}  # edge -> colour bit
+    taken = 0
     stuck = []
     for e in ids:
-        cs = lists[e]
-        row = sorted_lists.get(cs)
-        if row is None:
-            row = sorted_lists[cs] = sorted(cs)
-        ordered[e] = row
-        k = cursor.get(cs, 0)
-        while k < len(row) and row[k] in owner:
-            k += 1
-        cursor[cs] = k
-        if k == len(row):
-            stuck.append(e)
+        free = masks[e] & ~taken
+        if free:
+            bit = free & -free
+            taken |= bit
+            owner[bit], colour_of[e] = e, bit
         else:
-            owner[row[k]] = e
-            colour_of[e] = row[k]
+            stuck.append(e)
     for root in stuck:
-        seen: dict[int, int] = {}  # colour -> the edge it was reached from
-        stack = [(root, iter(ordered[root]))]
-        while stack:
-            e, colours = stack[-1]
-            for c in colours:
-                if c in seen:
-                    continue
-                seen[c] = e
-                f = owner.get(c)
-                if f is not None:
-                    stack.append((f, iter(ordered[f])))
-                    break
-                # c is free: shift every colour along the path back to root
-                while e != root:
-                    old = colour_of[e]
-                    owner[c], colour_of[e] = e, c
-                    c, e = old, seen[old]
-                owner[c], colour_of[root] = root, c
-                stack.clear()
-                break
-            else:
-                stack.pop()
-        if root not in colour_of:
-            edges = {root}.union(owner[c] for c in seen)
-            return HallViolator(tuple(sorted(edges)), frozenset(seen))
-    return {e: colour_of[e] for e in ids}
+        reached = 0  # the colours this search has visited
+        path, via = [root], []  # path[i] reached path[i + 1] by colour via[i]
+        while path:
+            free = masks[path[-1]] & ~reached
+            if not free:
+                path.pop()
+                if via:
+                    via.pop()
+                continue
+            bit = free & -free
+            reached |= bit
+            via.append(bit)
+            f = owner.get(bit)
+            if f is not None:
+                path.append(f)
+                continue
+            # the colour is free: each edge on the path takes the colour it
+            # reached the next by, and the last edge this one
+            for g, c in zip(path, via):
+                owner[c], colour_of[g] = g, c
+            break
+        else:
+            edges = {root}.union(owner[1 << i] for i in mask_bits(reached))
+            return HallViolator(tuple(sorted(edges)), lm.decode(reached))
+    colours = lm.colours
+    return {e: colours[colour_of[e].bit_length() - 1] for e in ids}
 
 
 def mask_bits(mask: int) -> list[int]:

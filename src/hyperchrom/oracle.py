@@ -12,13 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from . import _kernel_py
-from .hypercore import (
-    Hypergraph,
-    canonical_form,
-    list_masks,
-    normalize_lists,
-    star_pigeonhole,
-)
+from .hypercore import Hypergraph, ListMasks, canonical_form, edge_list_masks, star_pigeonhole
 
 __all__ = [
     "OracleBudget",
@@ -103,26 +97,27 @@ def exact_chromatic_index(
 
 def exact_list_colourable(
     h: Hypergraph,
-    lists: Mapping[int, Iterable[int]],
+    lists: Mapping[int, Iterable[int]] | ListMasks,
     budget: OracleBudget | None = None,
 ) -> ListColourResult:
     """Decide list colourability exactly.
 
-    A vertex whose edges outnumber the union of their lists
-    (``star_pigeonhole``) settles 'no' before any search, and the detail
-    names that vertex.  Otherwise the colours, which may be any integers,
-    are numbered by rank (``list_masks``) and ``_kernel_py.list_colour`` searches
-    the line graph: it branches on the edge with the fewest colours left.
-    A 'yes' carries a witness colouring in the original colours; a time
-    cap hit is refused as 'budget'.
+    The colours, which may be any integers, are numbered by rank
+    (``edge_list_masks``; a ``ListMasks`` is used as it is).  A vertex
+    whose edges outnumber the union of their lists (``star_pigeonhole``)
+    settles 'no' before any search, and the detail is that Hall
+    violator's: ``Hall violator: k edges, c colours``.  Otherwise
+    ``_kernel_py.list_colour`` searches the line graph: it branches on the
+    edge with the fewest colours left.  A 'yes' carries a witness
+    colouring in the original colours; a time cap hit is refused as
+    'budget'.
     """
     budget = budget or OracleBudget()
     if h.m > budget.max_edges:
         return ListColourResult("budget", detail=f"e(H)={h.m} exceeds {budget.max_edges}")
-    allowed = normalize_lists(h, lists)
+    lm = edge_list_masks(h, lists)
     if h.m == 0:
         return ListColourResult("yes", witness={})
-    lm = list_masks(allowed)
     star = star_pigeonhole(h, lm, (1 << h.m) - 1)
     if star is not None:
         return ListColourResult("no", detail=star.detail)

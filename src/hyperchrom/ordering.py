@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, isqrt
 from typing import Iterable, Mapping
 
 from .exactarith import as_fraction, at_least_scaled_sqrt, fourth_root_enclosure
@@ -23,9 +23,9 @@ from .hypercore import (
     ColouringFailure,
     Hypergraph,
     ListMasks,
+    edge_list_masks,
     list_masks,
     mask_bits,
-    normalize_lists,
     volume,
 )
 
@@ -38,6 +38,8 @@ __all__ = [
     "reorder",
     "partition_stability",
     "partition_extremal",
+    "R1_DEFAULT",
+    "default_r0",
     "forbidden_colours",
     "greedy_extend",
     "greedy_list_colour",
@@ -326,6 +328,15 @@ def partition_stability(
     return _certify(h, parts, properties, degree_caps, "FD3", notes)
 
 
+R1_DEFAULT = 4  # edges of size <= r1 are small
+
+
+def default_r0(n: int, r1: int = R1_DEFAULT) -> int:
+    """The r0 (edges above it are large) used when none is given:
+    ceil(sqrt(n)) + 2, never below r1."""
+    return max(isqrt(n - 1) + 3 if n > 0 else 2, r1)
+
+
 def partition_extremal(
     h: Hypergraph,
     t: int,
@@ -499,7 +510,7 @@ def greedy_extend(
 
 def greedy_list_colour(
     h: Hypergraph,
-    lists: Mapping[int, Iterable[int]],
+    lists: Mapping[int, Iterable[int]] | ListMasks,
     ordering: EdgeOrdering | None = None,
 ) -> dict[int, int] | ColouringFailure:
     """Colour edges in order, always taking the smallest colour not used by
@@ -508,7 +519,7 @@ def greedy_list_colour(
     Succeeds whenever every list exceeds the edge's forward degree; on
     failure the report names the first stuck edge.
     """
-    allowed = normalize_lists(h, lists)
+    allowed = edge_list_masks(h, lists)
     if ordering is None:
         ordering = EdgeOrdering(tuple(range(h.m)))
     if sorted(ordering.perm) != list(range(h.m)):

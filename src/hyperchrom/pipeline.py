@@ -16,15 +16,12 @@ report and failures are values, never exceptions.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-from . import oracle
 from .exactarith import as_fraction, cmp_to_scaled_sqrt
-from .extremal import colour_extremal
 from .hypercore import (
     ColouringFailure,
     HallViolator,
@@ -32,14 +29,16 @@ from .hypercore import (
     ListMasks,
     degree_stats,
     distinct_representatives,
+    edge_list_masks,
     list_masks,
-    normalize_lists,
     predicates,
     star_pigeonhole,
     subhypergraph,
     validate_colouring,
 )
 from .ordering import (
+    R1_DEFAULT,
+    default_r0,
     forbidden_colours,
     greedy_extend,
     partition_extremal,
@@ -90,15 +89,16 @@ class ReservedColours:
 class PipelineParams:
     """Desk-scale defaults; every knob overridable.
 
-    r0=None means "computed per instance" as ceil(sqrt(n)) + 2 (never below
-    r1).  sigma is read only by ``colour_stability``.
+    r0=None means "computed per instance" by ``ordering.default_r0``:
+    ceil(sqrt(n)) + 2, never below r1.  sigma is read only by
+    ``colour_stability``.
     """
 
     delta: Fraction = Fraction(1, 10)
     gamma: Fraction = Fraction(1, 8)
     sigma: Fraction = Fraction(1, 50)
     r0: int | None = None
-    r1: int = 4
+    r1: int = R1_DEFAULT
     seed: int = 0
     exact_budget: int = 12
 
@@ -118,9 +118,7 @@ class PipelineParams:
             raise ValueError("exact_budget must be non-negative")
 
     def resolved_r0(self, n: int) -> int:
-        if self.r0 is not None:
-            return self.r0
-        return max(math.isqrt(n - 1) + 1 + 2 if n > 0 else 2, self.r1)
+        return default_r0(n, self.r1) if self.r0 is None else self.r0
 
 
 @dataclass(frozen=True)
@@ -217,7 +215,8 @@ def colour_small(
     Stands in for the semi-random nibble, which has nothing to say at this
     scale.  Before any pass, a vertex whose block edges outnumber the
     colours left to them (``star_pigeonhole``) ends the call: its failure
-    names the vertex and the lowest edge id of its star.
+    carries that Hall violator's detail (``Hall violator: k edges, c
+    colours``) and the lowest edge id of its star.
     """
     ids = list(edge_ids)
     forbidden = forbidden or {}
@@ -323,8 +322,7 @@ def colour_stability(
     if t < 1:
         raise ValueError("t must be positive")
     params = params or PipelineParams()
-    allowed = normalize_lists(h, lists)
-    script = _Script(h, t, allowed, list_masks(allowed), params, prefix="")
+    script = _Script(h, t, lists, edge_list_masks(h, lists), params, prefix="")
     outcome = _run_script(script, params.sigma, 2, _stability_middle)
     return PipelineRun(outcome, tuple(script.stages))
 
@@ -333,13 +331,13 @@ def colour_stability(
 class _Script:
     """One run of a staged script: its inputs and the records it has written.
 
-    ``allowed`` holds the lists as given, against which the result is
+    ``lists`` holds the lists as given, against which the result is
     validated; the stages work on ``lm``, the same lists as bitmasks.
     """
 
     h: Hypergraph
     t: int
-    allowed: dict[int, frozenset[int]]
+    lists: Mapping[int, Iterable[int]]
     lm: ListMasks
     params: PipelineParams
     prefix: str  # prepended to every stage name
@@ -420,7 +418,7 @@ def _run_script(
     else:
         s.record("sml", "skipped", "no small edges")
 
-    report = validate_colouring(h, col, lists=s.allowed)
+    report = validate_colouring(h, col, lists=s.lists)
     if not report.valid:
         return s.fail("validate", f"violations: {report.violations[:3]}")
     s.record("validate", "ok", colours_used=report.colour_count)
@@ -520,19 +518,19 @@ def colour_main(
     if t < 1:
         raise ValueError("t must be positive")
     params = params or PipelineParams()
-    allowed = normalize_lists(h, lists)
+    lm = edge_list_masks(h, lists)
     if h.m and predicates(h).is_intersecting:
-        return _colour_intersecting(h, allowed)
-    script = _Script(h, t, allowed, list_masks(allowed), params, prefix="main:")
+        return _colour_intersecting(h, lists, lm)
+    script = _Script(h, t, lists, lm, params, prefix="main:")
     outcome = _run_script(script, params.gamma, 3, _extremal_middle)
     stages = script.stages
     if not isinstance(outcome, ColouringFailure):
         return PipelineRun(outcome, tuple(stages))
 
     if h.m <= params.exact_budget:
-        res = oracle.exact_list_colourable(
-            h, allowed, oracle.OracleBudget(max_edges=max(h.m, 1))
-        )
+        from .oracle import OracleBudget, exact_list_colourable
+
+        res = exact_list_colourable(h, lm, OracleBudget(max_edges=max(h.m, 1)))
         if res.status == "yes":
             stages.append(
                 StageRecord(
@@ -555,7 +553,9 @@ def colour_main(
     return PipelineRun(failure, tuple(stages))
 
 
-def _colour_intersecting(h: Hypergraph, allowed: dict[int, frozenset[int]]) -> PipelineRun:
+def _colour_intersecting(
+    h: Hypergraph, lists: Mapping[int, Iterable[int]], lm: ListMasks
+) -> PipelineRun:
     """The exact answer for an intersecting H, as one ``exact`` stage.
 
     Every two edges meet, so a proper colouring gives all edges pairwise
@@ -564,11 +564,11 @@ def _colour_intersecting(h: Hypergraph, allowed: dict[int, frozenset[int]]) -> P
     violator (Hall 1935).  The matching is polynomial, so ``exact_budget``
     does not apply.
     """
-    got = distinct_representatives(allowed, range(h.m))
+    got = distinct_representatives(lm, range(h.m))
     if isinstance(got, HallViolator):
         failure = ColouringFailure("exact", detail=got.detail)
         return PipelineRun(failure, (StageRecord("exact", "failed", failure.detail),))
-    report = validate_colouring(h, got, lists=allowed)
+    report = validate_colouring(h, got, lists=lists)
     if not report.valid:
         raise RuntimeError(f"internal: representatives clash: {report.violations[:3]}")
     stage = StageRecord(
@@ -598,11 +598,13 @@ def _extremal_middle(
         s, "partition", mid_large, partition_extremal, params.delta, params.gamma, split.r0
     )
     if part["H3"]:
+        from .extremal import colour_extremal
+
         sub3, ids3 = subhypergraph(h, part["H3"])
         got, rep = colour_extremal(
             sub3,
             s.t,
-            {i: lm.decode(residual.masks[orig]) for i, orig in enumerate(ids3)},
+            residual._replace(masks=dict(enumerate(residual.masks[e] for e in ids3))),
             delta=params.delta,
             exact_budget=params.exact_budget,
         )

@@ -15,6 +15,7 @@ import pytest
 
 import hyperchrom
 from hyperchrom import GeneratorParams, Hypergraph, random_bounded_codegree
+from hyperchrom.hypercore import list_masks
 
 FANO_LINES = tuple(
     tuple(sorted(((0 + i) % 7, (1 + i) % 7, (3 + i) % 7))) for i in range(7)
@@ -56,6 +57,19 @@ def make_corpus(count, base_seed, n_range=(5, 14), t_range=(1, 3), size_hi=4):
         )
         out.append((h, t))
     return out
+
+
+# colour ids for lists that are neither dense nor non-negative
+SPARSE_COLOURS = (-(10**6), *range(-90, 0, 3), *range(0, 12000, 97), 10**6)
+
+
+def widened_masks(lists, extra):
+    """``lists`` as a ``ListMasks`` whose colour table also holds the
+    colours ``extra``, as lists cut down to a reserve keep their parent's
+    table, with the frozensets its masks decode to."""
+    wide = list_masks({**lists, None: extra})
+    lm = wide._replace(masks={e: wide.masks[e] for e in lists})
+    return lm, {e: lm.decode(cs) for e, cs in lm.masks.items()}
 
 
 @pytest.fixture(scope="session")

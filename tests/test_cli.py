@@ -629,8 +629,24 @@ class TestImports:
             (["gen", "--family", "pencil", "--n", "4"], "generators"),
             (["order", "--in", "{hg}", "--t", "1"], "exactarith ordering"),
             (["order", "--in", "{hg}", "--t", "1", "--partition", "stability"], "exactarith ordering"),
+            (["order", "--in", "{hg}", "--t", "1", "--partition", "extremal"], "exactarith ordering"),
+            (["color", "--in", "{hg}", "--t", "1", "--lists", "uniform:3"], "exactarith ordering pipeline"),
+            (
+                ["color", "--in", "{hg}", "--t", "1", "--lists", "uniform:3", "--mode", "extremal"],
+                "_matching exactarith extremal",
+            ),
         ],
-        ids=["exact", "exact-lists", "classify", "gen", "order", "order-stability"],
+        ids=[
+            "exact",
+            "exact-lists",
+            "classify",
+            "gen",
+            "order",
+            "order-stability",
+            "order-extremal",
+            "color",
+            "color-extremal",
+        ],
     )
     def test_subcommand_loads_only_its_modules(self, tmp_path, triangle, argv, loaded):
         hg = _write(tmp_path, "tri.hg", triangle)

@@ -22,6 +22,7 @@ from hyperchrom import (
     validate_colouring,
 )
 from hyperchrom import extremal, oracle
+from hyperchrom.hypercore import distinct_representatives
 
 from tests._naive import (
     naive_all_distinct,
@@ -32,7 +33,57 @@ from tests._naive import (
     naive_sdr,
     naive_validate,
 )
-from tests.conftest import make_corpus
+from tests.conftest import SPARSE_COLOURS, make_corpus, widened_masks
+
+
+class TestListMasksInput:
+    """A ``ListMasks`` and the frozensets it decodes to give the same answers."""
+
+    def test_colour_from_matching(self, monkeypatch):
+        deferred = []
+
+        def spy(lists, edge_ids):
+            deferred.append(edge_ids)
+            return distinct_representatives(lists, edge_ids)
+
+        monkeypatch.setattr(extremal, "distinct_representatives", spy)
+        rng = random.Random(8300)
+        for h, _t in make_corpus(40, base_seed=8300, n_range=(4, 9), t_range=(1, 2)):
+            cm = maximal_complement_matching(h)
+            k = h.m - cm.size
+            pool = rng.sample(SPARSE_COLOURS, 2 * k + 2)
+            shared, left, right = pool[:2], pool[2 : k + 2], pool[k + 2 :]
+            lists = {e: frozenset(rng.sample(pool, k)) for e in range(h.m)}
+            for a, b in cm.pairs:
+                # one common colour, one of two that all pairs draw on, so
+                # some pairs lose theirs and are deferred
+                c = rng.choice(shared)
+                lists[a] = frozenset({c, *rng.sample(left, k - 1)})
+                lists[b] = frozenset({c, *rng.sample(right, k - 1)})
+            lm, decoded = widened_masks(lists, rng.sample(SPARSE_COLOURS, 4))
+            got = colour_from_matching(h, cm, lm)
+            assert got == colour_from_matching(h, cm, decoded)
+            assert naive_validate(h, got, lists)
+        assert len(deferred) >= 20
+
+    def test_colour_extremal(self):
+        rng = random.Random(8400)
+        cases = make_corpus(30, base_seed=8400, n_range=(4, 8), t_range=(1, 2))
+        cases += [(near_pencil(n), 1) for n in (4, 5, 6)]
+        cases += [(t_fold(projective_plane(2), 2), 2)]
+        rungs = set()
+        for h, t in cases:
+            tn = t * h.n
+            pool = rng.sample(SPARSE_COLOURS, tn + 2)
+            lists = {
+                e: frozenset(rng.sample(pool, rng.randint(max(1, tn - 2), tn + 1)))
+                for e in range(h.m)
+            }
+            lm, decoded = widened_masks(lists, rng.sample(SPARSE_COLOURS, 4))
+            got = colour_extremal(h, t, lm, exact_budget=8)
+            assert got == colour_extremal(h, t, decoded, exact_budget=8)
+            rungs.add(got[1].rung)
+        assert len(rungs) >= 4, rungs
 
 
 class TestIsTUseful:

@@ -43,7 +43,7 @@ from tests._naive import (
     naive_sdr,
     naive_volume,
 )
-from tests.conftest import make_corpus
+from tests.conftest import SPARSE_COLOURS, make_corpus, widened_masks
 
 
 class TestHypergraph:
@@ -294,7 +294,9 @@ class TestStarPigeonhole:
                     assert star is None
                     continue
                 fired += 1
-                assert (star.vertex, list(star.edges), set(star.colours)) == expected
+                _vertex, edges, colours = expected
+                assert star == HallViolator(tuple(edges), frozenset(colours))
+                assert naive_is_hall_violator(lists, ids, star.edges)
                 sub, _ = subhypergraph(h, ids)
                 assert naive_list_colouring(sub, [lists[e] for e in ids]) is None
         assert fired >= 10
@@ -303,8 +305,8 @@ class TestStarPigeonhole:
         # stars at 0 (3 edges) and at 4 (3 edges), two colours each
         h = Hypergraph(7, [(0, 1), (0, 2), (0, 3), (4, 5), (4, 6), (3, 4)])
         star = star_pigeonhole(h, uniform_lists(h, 2), (1 << h.m) - 1)
-        assert star.vertex == 0 and star.edges == (0, 1, 2)
-        assert star.detail == "pigeonhole at vertex 0: 3 edges, 2 colours"
+        assert star == HallViolator((0, 1, 2), frozenset({0, 1}))
+        assert star.detail == "Hall violator: 3 edges, 2 colours"
 
 
 class TestListMasks:
@@ -400,6 +402,20 @@ class TestDistinctRepresentatives:
         ids = data.draw(st.permutations(range(len(picks))))
         _check_representatives(lists, ids[: data.draw(st.integers(0, len(ids)))])
 
+    def test_masks_and_decoded_lists_agree(self):
+        rng = random.Random(8200)
+        kinds = {dict: 0, HallViolator: 0}
+        for _ in range(400):
+            m = rng.randint(1, 9)
+            pool = rng.sample(SPARSE_COLOURS, m + 1)
+            lists = {e: frozenset(rng.sample(pool, rng.randint(0, min(3, m)))) for e in range(m)}
+            lm, decoded = widened_masks(lists, rng.sample(SPARSE_COLOURS, 3))
+            ids = rng.sample(range(m), rng.randint(0, m))
+            got = distinct_representatives(lm, ids)
+            assert got == distinct_representatives(decoded, ids)
+            kinds[type(got)] += 1
+        assert min(kinds.values()) >= 50, kinds
+
     def test_greedy_answer_kept(self):
         lists = {0: frozenset({1, 2}), 1: frozenset({1, 2}), 2: frozenset({0, 1, 2, 3})}
         assert distinct_representatives(lists, [0, 1, 2]) == {0: 1, 1: 2, 2: 0}
@@ -409,6 +425,14 @@ class TestDistinctRepresentatives:
         # the greedy gives edge 0 colour 0; edge 2 has only 0, so 0 moves on
         lists = {0: frozenset({0, 1}), 1: frozenset({1, 2}), 2: frozenset({0})}
         assert distinct_representatives(lists, range(3)) == {0: 1, 1: 2, 2: 0}
+
+    def test_augmenting_path_tries_colours_ascending(self):
+        # edge 2 needs colour 0, so edge 0 moves to its next lowest colour, 1,
+        # and edge 1 on to 3, although colour 2 would free edge 0 at once
+        lists = {0: frozenset({0, 1, 2}), 1: frozenset({1, 3}), 2: frozenset({0})}
+        assert distinct_representatives(lists, range(3)) == {0: 1, 1: 3, 2: 0}
+        lm = list_masks(lists)
+        assert distinct_representatives(lm, range(3)) == {0: 1, 1: 3, 2: 0}
 
     def test_triangle_violator(self):
         lists = {e: frozenset({0, 1}) for e in range(3)}

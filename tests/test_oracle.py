@@ -2,6 +2,7 @@
 matchings and the small-instance enumerator."""
 
 import itertools
+import random
 import time
 
 import pytest
@@ -30,11 +31,13 @@ from tests._naive import (
     naive_chromatic_index,
     naive_degree,
     naive_greedy_colour,
+    naive_is_hall_violator,
     naive_list_colouring,
     naive_max_complement_matching_size,
+    naive_overfull_star,
     naive_validate,
 )
-from tests.conftest import make_corpus
+from tests.conftest import SPARSE_COLOURS, make_corpus, widened_masks
 
 
 class TestExactChromaticIndex:
@@ -174,11 +177,10 @@ class TestExactListColourable:
         lists = {e: range(9) for e in range(h.m)}
         res = exact_list_colourable(h, lists)
         assert res.status == "no"
-        v = int(res.detail.split("vertex ")[1].split(":")[0])
-        star = [e for e, verts in enumerate(h.edges) if v in verts]
-        colours = set().union(*(lists[e] for e in star))
+        _vertex, star, colours = naive_overfull_star(h, lists, range(h.m))
         assert (len(star), len(colours)) == (10, 9)
-        assert res.detail == f"pigeonhole at vertex {v}: 10 edges, 9 colours"
+        assert naive_is_hall_violator(lists, range(h.m), star)
+        assert res.detail == "Hall violator: 10 edges, 9 colours"
 
     def test_disjoint_edges_with_singleton_lists(self):
         h = Hypergraph(4, [(0, 1), (2, 3)])
@@ -216,6 +218,20 @@ class TestExactListColourable:
                 else:
                     assert res.status == "no"
                     assert naive is None
+
+    def test_masks_and_decoded_lists_agree(self):
+        rng = random.Random(8500)
+        details = set()
+        for h, _t in make_corpus(30, base_seed=8500, n_range=(4, 7), t_range=(1, 2)):
+            if h.m > 8:
+                continue
+            pool = rng.sample(SPARSE_COLOURS, 5)
+            lists = {e: frozenset(rng.sample(pool, rng.randint(1, 4))) for e in range(h.m)}
+            lm, decoded = widened_masks(lists, rng.sample(SPARSE_COLOURS, 4))
+            got = exact_list_colourable(h, lm)
+            assert got == exact_list_colourable(h, decoded)
+            details.add((got.status, got.detail.split(":")[0]))
+        assert {("yes", ""), ("no", ""), ("no", "Hall violator")} <= details, details
 
     def test_negative_and_high_colours_yes_and_no(self, fano):
         # the seven lines pairwise intersect, and each star has only three

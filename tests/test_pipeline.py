@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -31,7 +32,9 @@ from hyperchrom.oracle import exact_list_colourable
 
 from tests._naive import (
     naive_forbidden_colours,
+    naive_is_hall_violator,
     naive_list_colouring,
+    naive_overfull_star,
     naive_reserve_colours,
     naive_validate,
 )
@@ -239,17 +242,19 @@ class TestColourSmall:
         # k + 1 edges through vertex 0, every list the same k colours
         k = 4
         h = Hypergraph(k + 3, [(0, i) for i in range(1, k + 2)] + [(k + 2, 1)])
-        star = [e for e, verts in enumerate(h.edges) if 0 in verts]
+        lists = uniform_lists(h, k)
+        vertex, star, colours = naive_overfull_star(h, lists, range(h.m))
+        assert vertex == 0 and naive_is_hall_violator(lists, range(h.m), star)
 
         def no_sweep(*args, **kwargs):
             raise AssertionError("colour_small swept a pigeonhole block")
 
         monkeypatch.setattr(pipeline, "greedy_extend", no_sweep)
-        out = colour_small(h, range(h.m), uniform_lists(h, k))
+        out = colour_small(h, range(h.m), lists)
         assert isinstance(out, ColouringFailure)
         assert out.stage == "small"
-        assert "pigeonhole" in out.detail
-        assert out.stuck_edge in star
+        assert out.detail == f"Hall violator: {len(star)} edges, {len(colours)} colours"
+        assert out.stuck_edge == star[0]
 
     def test_deterministic_per_seed(self, fano):
         lists = uniform_lists(fano, 7)
@@ -576,6 +581,47 @@ class TestColourMain:
     def test_t_must_be_positive(self, fano):
         with pytest.raises(ValueError):
             colour_main(fano, 0, uniform_lists(fano, 7))
+
+
+def _plane_with_a_point_edge(q: int, t: int) -> Hypergraph:
+    """A t-fold PG(2, q) plus the size-one edge (0,): no longer intersecting,
+    so ``colour_main`` runs the main script on it."""
+    plane = t_fold(projective_plane(q), t)
+    return Hypergraph(plane.n, [*plane.edges, (0,)])
+
+
+# the (q, t) whose partition puts edges in H3; at t = 1 and q in {4, 5}
+# H3 is empty
+_H3_CASES = [(4, 2), (5, 2), (7, 1), (7, 2), (8, 1), (8, 2)]
+
+
+class TestH3Route:
+    """The plane's lines are the large edges that reach H3, where the
+    extremal ladder colours them, all distinct, from their tn lists."""
+
+    @pytest.mark.parametrize("q, t", _H3_CASES)
+    def test_default_r0_stops_at_a_hall_violator(self, q, t):
+        h = _plane_with_a_point_edge(q, t)
+        run = colour_main(h, t, uniform_lists(h, t * h.n))
+        assert not run.ok
+        stages = {s.stage: s for s in run.stages}
+        h3 = stages["main:H3"]
+        assert h3.status == "failed"
+        counts = re.fullmatch(r"Hall violator: (\d+) edges, (\d+) colours", h3.detail)
+        assert int(counts[1]) > int(counts[2])
+        assert stages["exact"].status == "skipped"
+
+    @pytest.mark.parametrize("q, t", _H3_CASES)
+    def test_r0_four_colours_at_rung_two(self, q, t):
+        h = _plane_with_a_point_edge(q, t)
+        lists = uniform_lists(h, t * h.n)
+        run = colour_main(h, t, lists, PipelineParams(r0=4))
+        assert run.ok
+        assert naive_validate(h, run.outcome, lists)
+        assert validate_colouring(h, run.outcome, lists=lists).valid
+        h3 = next(s for s in run.stages if s.stage == "main:H3")
+        assert h3.status == "ok"
+        assert h3.detail.startswith("extremal rung: 2: ")
 
 
 class TestForbiddenMaps:
