@@ -35,77 +35,126 @@ def _greedy_clique(adj: list[int], order: list[int]) -> int:
 
 
 def _greedy_colouring(adj: list[int], order: list[int]) -> list[int]:
+    """Each vertex of ``order`` takes the smallest colour none of its coloured
+    neighbours has: the first colour class its row misses."""
     col = [-1] * len(adj)
+    classes: list[int] = []  # classes[c]: the vertices coloured c, as a mask
     for v in order:
-        used = 0
         a = adj[v]
-        while a:
-            w = (a & -a).bit_length() - 1
-            a &= a - 1
-            if col[w] >= 0:
-                used |= 1 << col[w]
         c = 0
-        while used >> c & 1:
+        while c < len(classes) and classes[c] & a:
             c += 1
+        if c == len(classes):
+            classes.append(0)
+        classes[c] |= 1 << v
         col[v] = c
     return col
 
 
 def _search(
     adj: list[int], lists: list[int], deadline: float | None, first_use: bool
-) -> list[int] | None:
-    """A proper colouring with vertex v coloured from bitmask ``lists[v]``.
+) -> tuple[list[int] | None, int]:
+    """``(colouring, nodes)``: a proper colouring with vertex v coloured from
+    bitmask ``lists[v]`` (None when none exists), and the search nodes visited.
 
     Depth-first search that branches on the uncoloured vertex with the
     fewest colours left (ties: higher degree, then lower id) and tries its
     colours in ascending order.  With ``first_use`` a vertex takes no
     colour above one more than the highest colour used so far, which
-    breaks the symmetry of interchangeable lists {0..k-1}.  None when no
-    colouring exists; raises ``_Timeout`` once ``deadline`` has passed.
+    breaks the symmetry of interchangeable lists {0..k-1}.  Raises
+    ``_Timeout`` once ``deadline`` has passed.
+
+    Bookkeeping: vertices are renumbered by (higher degree, lower id), so
+    the branch vertex is the lowest slot among those with fewest colours
+    left.  Each vertex owns one ``width``-bit slot of three integers: the
+    uncoloured set and the rows keep the slot's low bit, ``free`` keeps the
+    vertex's colours left (colour c at bit c of the slot) and ``counts``
+    keeps how many there are, under the slot's guard bit.  Colouring a
+    vertex c takes c from its uncoloured neighbours ``hit = nbrs &
+    (free >> c)`` by ``free ^ (hit << c)`` and ``counts - hit``; the
+    vertices with at most m colours left are the slots whose guard bit
+    ``counts - (m + 1) * ones`` clears.  A branch that takes the last
+    colour of a neighbour leads to a node that fails at once; it is counted
+    (and polled) without a call.
     """
     n = len(adj)
+    order = sorted(range(n), key=lambda u: (-adj[u].bit_count(), u))
+    colours = max((a.bit_length() for a in lists), default=0)
+    most = max((a.bit_count() for a in lists), default=0)
+    # a slot holds every colour bit, and a count up to ``most`` below its guard
+    width = max(colours, most.bit_length() + 1)
+    top = width - 1
+    slot = [1 << width * i for i in range(n)]
+    where = [0] * n  # original id -> its slot bit
+    for i, u in enumerate(order):
+        where[u] = slot[i]
+
+    def packed(mask: int) -> int:
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= where[low.bit_length() - 1]
+            mask ^= low
+        return out
+
+    rows = [packed(adj[u]) for u in order]
+    free = sum(lists[u] * slot[i] for i, u in enumerate(order))
+    ones = sum(slot)
+    guards = ones << top
+    counts = guards + sum(lists[u].bit_count() * slot[i] for i, u in enumerate(order))
+    at_most = [(m + 1) * ones for m in range(most + 1)]
+    palette = (1 << colours) - 1
     col = [-1] * n
-    free = list(lists)  # colours still open to each uncoloured vertex
-    deg = [a.bit_count() for a in adj]
     nodes = 0
 
-    def dfs(depth: int, opened: int) -> bool:
+    def dfs(unc: int, free: int, counts: int, floor: int, opened: int) -> bool:
+        # floor: a lower bound on the fewest colours left, one below the
+        # parent's, as a branch takes at most one colour from each vertex
         nonlocal nodes
         nodes += 1
         if deadline is not None and nodes % _POLL == 0 and monotonic() > deadline:
             raise _Timeout
-        if depth == n:
+        if not unc:
             return True
-        v = -1
-        best_key = None
-        for u in range(n):
-            if col[u] < 0:
-                key = (-free[u].bit_count(), deg[u], -u)
-                if best_key is None or key > best_key:
-                    best_key = key
-                    v = u
-        opts = free[v] & ((2 << opened) - 1) if first_use else free[v]
+        live = unc << top
+        least = floor
+        while True:
+            fewest = live & ~(counts - at_most[least])
+            if fewest:
+                break
+            least += 1
+        if not least:
+            return False
+        i = (fewest & -fewest).bit_length() // width - 1
+        rest = unc ^ slot[i]
+        nbrs = rows[i] & rest
+        opts = free >> width * i & palette
+        if first_use:
+            opts &= (2 << opened) - 1
+        below = least - 1
+        # with one colour left somewhere, a branch that takes it is a dead end
+        doomed = fewest >> top if least == 1 else 0
         while opts:
             bit = opts & -opts
             opts ^= bit
             c = bit.bit_length() - 1
-            col[v] = c
-            touched = []
-            a = adj[v]
-            while a:
-                w = (a & -a).bit_length() - 1
-                a &= a - 1
-                if col[w] < 0 and free[w] & bit:
-                    free[w] ^= bit
-                    touched.append(w)
-            if dfs(depth + 1, opened if c < opened else c + 1):
+            hit = nbrs & (free >> c)
+            if hit & doomed:
+                nodes += 1  # that child, which fails at once
+                if deadline is not None and nodes % _POLL == 0 and monotonic() > deadline:
+                    raise _Timeout
+                continue
+            col[i] = c
+            if dfs(rest, free ^ hit << c, counts - hit, below, opened if c < opened else c + 1):
                 return True
-            col[v] = -1
-            for w in touched:
-                free[w] |= bit
         return False
 
-    return list(col) if dfs(0, 0) else None
+    if not dfs(ones, free, counts, 0, 0):
+        return None, nodes
+    out = [-1] * n
+    for i, u in enumerate(order):
+        out[u] = col[i]
+    return out, nodes
 
 
 def solve_chromatic(
@@ -132,7 +181,7 @@ def solve_chromatic(
     k = max(best)
     while k >= lb:
         try:
-            res = _search(adj, [(1 << k) - 1] * n, deadline, first_use=True)
+            res, _nodes = _search(adj, [(1 << k) - 1] * n, deadline, first_use=True)
         except _Timeout:
             return max(best) + 1, best, False
         if res is None:
@@ -149,6 +198,7 @@ def list_colour(
     None when none exists; ``completed`` is False (colouring None) when
     the time cap (0: none) fired first."""
     try:
-        return _search(adj, lists, _deadline(time_cap_ms), first_use=False), True
+        col, _nodes = _search(adj, lists, _deadline(time_cap_ms), first_use=False)
     except _Timeout:
         return None, False
+    return col, True

@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import ceil, floor, isqrt
 from typing import Iterable, Mapping
 
@@ -147,26 +148,49 @@ def reorder(
     bound = t * (1 - tau) * h.n
     limit = floor(bound)  # an integer degree d is <= bound iff d <= limit
 
+    # Each prefix edge's degree into the prefix is kept by its position in
+    # the size-monotone order.  Degrees only fall, so an edge that fits keeps
+    # fitting: ``fitting`` is a heap of the positions that fit (retired ones
+    # dropped lazily), whose least live entry is the first prefix edge that
+    # fits, and only the edges that do not fit yet (``tight``) have their
+    # degree lowered when a neighbour retires.
     rows = h.view.rows
+    at = {e: i for i, e in enumerate(prefix)}
     prefix_mask = sum(1 << e for e in prefix)
-
-    def fits(e: int) -> bool:
-        return (rows[e] & prefix_mask).bit_count() <= limit
+    degree = [(rows[e] & prefix_mask).bit_count() for e in prefix]
+    fitting = [i for i, d in enumerate(degree) if d <= limit]  # ascending: a heap
+    tight = sum(1 << e for e, d in zip(prefix, degree) if d > limit)
+    left = [True] * len(prefix)
+    last = len(prefix) - 1
 
     retired: list[int] = []  # in retirement order; the suffix reversed
     case = "A"
     e_star: int | None = None
-    while prefix:
-        if fits(prefix[-1]):
-            e = prefix.pop()
+    while last >= 0:
+        if degree[last] <= limit:
+            i = last
         else:
-            i = next((i for i, f in enumerate(prefix) if fits(f)), None)
-            if i is None:
-                case, e_star = "B", prefix[-1]
+            while fitting and not left[fitting[0]]:
+                heappop(fitting)
+            if not fitting:
+                case, e_star = "B", prefix[last]
                 break
-            e = prefix.pop(i)
-        prefix_mask ^= 1 << e
+            i = heappop(fitting)
+        e = prefix[i]
+        left[i] = False
         retired.append(e)
+        nbrs = rows[e] & tight
+        while nbrs:
+            low = nbrs & -nbrs
+            nbrs ^= low
+            j = at[low.bit_length() - 1]
+            degree[j] -= 1
+            if degree[j] == limit:
+                heappush(fitting, j)
+                tight ^= low
+        while last >= 0 and not left[last]:
+            last -= 1
+    prefix = [e for e, keep in zip(prefix, left) if keep]
     ordering = EdgeOrdering(tuple(prefix + retired[::-1]))
 
     x_lo, x_hi = fourth_root_enclosure(tau)

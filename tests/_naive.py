@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from time import monotonic
 
 from hyperchrom.characterize import TFoldNearPencil, TFoldProjectivePlane
 from hyperchrom.hypercore import Hypergraph
@@ -56,6 +57,86 @@ def naive_graph_chromatic_number(adj: list[int]) -> int:
         if dfs(0, 0, k):
             return k
     return n
+
+
+_POLL = 4096
+
+
+class _Timeout(Exception):
+    pass
+
+
+def naive_search(
+    adj: list[int], lists: list[int], deadline: float | None, first_use: bool
+) -> tuple[list[int] | None, int]:
+    """The kernel's colouring search as it read with a tuple branching key per
+    vertex and a neighbour walk per colour: ``_kernel_py._search`` must visit
+    the same tree.  Returns (colouring or None, nodes visited).
+
+    Depth-first search that branches on the uncoloured vertex with the
+    fewest colours left (ties: higher degree, then lower id) and tries its
+    colours in ascending order.  With ``first_use`` a vertex takes no
+    colour above one more than the highest colour used so far, which
+    breaks the symmetry of interchangeable lists {0..k-1}.  None when no
+    colouring exists; raises ``_Timeout`` once ``deadline`` has passed.
+    """
+    n = len(adj)
+    col = [-1] * n
+    free = list(lists)  # colours still open to each uncoloured vertex
+    deg = [a.bit_count() for a in adj]
+    nodes = 0
+
+    def dfs(depth: int, opened: int) -> bool:
+        nonlocal nodes
+        nodes += 1
+        if deadline is not None and nodes % _POLL == 0 and monotonic() > deadline:
+            raise _Timeout
+        if depth == n:
+            return True
+        v = -1
+        best_key = None
+        for u in range(n):
+            if col[u] < 0:
+                key = (-free[u].bit_count(), deg[u], -u)
+                if best_key is None or key > best_key:
+                    best_key = key
+                    v = u
+        opts = free[v] & ((2 << opened) - 1) if first_use else free[v]
+        while opts:
+            bit = opts & -opts
+            opts ^= bit
+            c = bit.bit_length() - 1
+            col[v] = c
+            touched = []
+            a = adj[v]
+            while a:
+                w = (a & -a).bit_length() - 1
+                a &= a - 1
+                if col[w] < 0 and free[w] & bit:
+                    free[w] ^= bit
+                    touched.append(w)
+            if dfs(depth + 1, opened if c < opened else c + 1):
+                return True
+            col[v] = -1
+            for w in touched:
+                free[w] |= bit
+        return False
+
+    found = dfs(0, 0)
+    return (list(col) if found else None), nodes
+
+
+def naive_smallest_free_greedy(adj: list[int], order) -> list[int]:
+    """Each vertex of ``order`` takes the smallest colour that none of its
+    already coloured neighbours has (bitmask adjacency rows)."""
+    col = [-1] * len(adj)
+    for v in order:
+        taken = {col[w] for w in range(len(adj)) if adj[v] >> w & 1 and col[w] >= 0}
+        c = 0
+        while c in taken:
+            c += 1
+        col[v] = c
+    return col
 
 
 def naive_chromatic_index(h: Hypergraph) -> int:

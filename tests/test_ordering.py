@@ -173,6 +173,16 @@ class TestReorder:
                 got = (out.ordering.perm, out.case, out.e_star, out.W)
                 assert got == naive_reorder(h, t, tau, _w_factor(tau, K))
 
+    def test_matches_naive_on_corpus_sub_ids(self, corpus):
+        # seeded edge subsets in a shuffled order, as the partitions pass them
+        rng = random.Random(17)
+        for h, t in corpus:
+            ids = rng.sample(range(h.m), rng.randint(0, h.m))
+            for tau, K in ((Fraction(1, 2), 8), (Fraction(1, 20), 2), (Fraction(9, 10), 1)):
+                out = reorder(h, t, tau, K, edge_ids=ids)
+                got = (out.ordering.perm, out.case, out.e_star, out.W)
+                assert got == naive_reorder(h, t, tau, _w_factor(tau, K), ids)
+
     def test_matches_naive_on_sub_ids(self, fano):
         h = t_fold(fano, 2)
         ids = [13, 2, 7, 4, 9, 0]
