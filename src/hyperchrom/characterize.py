@@ -164,7 +164,11 @@ def classify_extremal(h: Hypergraph, t: int) -> Classification:
     is both the order-1 plane and the 3-vertex near-pencil; it is reported
     as a near-pencil with a remark.
     """
-    ib = intersecting_bound(h, t)
+    return _classify_extremal(h, t, intersecting_bound(h, t))
+
+
+def _classify_extremal(h: Hypergraph, t: int, ib: dict) -> Classification:
+    """``classify_extremal`` given ``ib = intersecting_bound(h, t)``."""
     if not ib["applies"]:
         return Classification(NotApplicable(ib["reason"]), h.m, None, None)
     if not ib["tight"]:
@@ -245,6 +249,12 @@ def debruijn_erdos_check(h: Hypergraph) -> dict:
     reports whether the bound holds and classifies the equality case via
     the t = 1 machinery (plane or near-pencil).
     """
+    return _debruijn_erdos_check(h, None)
+
+
+def _debruijn_erdos_check(h: Hypergraph, linear_class: Classification | None) -> dict:
+    """``debruijn_erdos_check`` reusing ``linear_class``, when given, as
+    ``classify_extremal(h, 1)``."""
     out: dict = {
         "applies": False,
         "reason": None,
@@ -268,5 +278,7 @@ def debruijn_erdos_check(h: Hypergraph) -> dict:
         return out
     out["applies"] = True
     out["bound_holds"] = h.m <= h.n
-    out["classification"] = classify_extremal(h, 1)
+    if linear_class is None:
+        linear_class = classify_extremal(h, 1)
+    out["classification"] = linear_class
     return out

@@ -60,19 +60,31 @@ def parse_hg(text: str) -> Hypergraph:
     if len(body) > m:
         extra_no = body[m][0]
         raise ValueError(f"line {extra_no}: more than the declared {m} edge lines")
+    # each line is non-blank, so it holds at least one id; the constructor
+    # range-checks each edge by its ends once sorted, and only a failure
+    # (or a bad id later on) pays for finding the first vertex out of range
     edges = []
     for lineno, line in body:
         try:
-            verts = tuple(map(int, line.split()))
+            edges.append(tuple(map(int, line.split())))
         except ValueError:
+            _raise_out_of_range(n, body, edges)
             raise ValueError(f"line {lineno}: vertex ids must be integers") from None
-        if not verts:
-            raise ValueError(f"line {lineno}: empty edge")
+    try:
+        return Hypergraph(n, edges)
+    except ValueError:
+        _raise_out_of_range(n, body, edges)
+        raise
+
+
+def _raise_out_of_range(
+    n: int, body: list[tuple[int, str]], edges: list[tuple[int, ...]]
+) -> None:
+    """Raise for the first vertex outside 0..n-1, in file order, if any."""
+    for (lineno, _line), verts in zip(body, edges):
         for v in verts:
             if not 0 <= v < n:
-                raise ValueError(f"line {lineno}: vertex {v} outside 0..{n - 1}")
-        edges.append(verts)
-    return Hypergraph(n, edges)
+                raise ValueError(f"line {lineno}: vertex {v} outside 0..{n - 1}") from None
 
 
 def format_hg(h: Hypergraph) -> str:
@@ -354,13 +366,15 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    from .characterize import classify_extremal, debruijn_erdos_check, intersecting_bound
+    from .characterize import _classify_extremal, _debruijn_erdos_check, intersecting_bound
 
     started = time.monotonic()
     h, digest = _read_input(args.input)
+    # the bound is computed once; at t = 1 the classification is also the
+    # one the de Bruijn-Erdos check reports
     ib = intersecting_bound(h, args.t)
-    cls = classify_extremal(h, args.t)
-    db = debruijn_erdos_check(h)
+    cls = _classify_extremal(h, args.t, ib)
+    db = _debruijn_erdos_check(h, cls if args.t == 1 else None)
     holds = (not ib["applies"]) or h.m <= ib["bound"]
     _emit(
         "classify",

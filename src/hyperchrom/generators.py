@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .hypercore import Hypergraph, degree_stats, predicates
+from .hypercore import Hypergraph, predicates
 
 __all__ = [
     "GeneratorParams",
@@ -85,14 +85,6 @@ def _field_tables(q: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int,
     return add, mul
 
 
-def _plane_points(q: int) -> list[tuple[int, int, int]]:
-    """Normalised homogeneous triples: (1,a,b), (0,1,b), (0,0,1)."""
-    pts = [(1, a, b) for a in range(q) for b in range(q)]
-    pts += [(0, 1, b) for b in range(q)]
-    pts.append((0, 0, 1))
-    return pts
-
-
 def projective_plane(q: int) -> Hypergraph:
     """Projective plane of prime-power order q as a hypergraph.
 
@@ -111,31 +103,45 @@ def projective_plane(q: int) -> Hypergraph:
             f"unsupported plane order {q}; supported orders: {SUPPORTED_PLANE_ORDERS}"
         )
     add, mul = _field_tables(q)
-    pts = _plane_points(q)
-
-    def dot(u: tuple[int, int, int], v: tuple[int, int, int]) -> int:
-        s = 0
-        for a, b in zip(u, v):
-            s = add[s][mul[a][b]]
-        return s
-
+    neg = [row.index(0) for row in add]
+    inv = [0] + [row.index(1) for row in mul[1:]]
+    field = range(q)
+    # points and lines are the normalised triples (1,a,b) by (a, b), then
+    # (0,1,b) by b, then (0,0,1); line l holds the points p with
+    # l0 p0 + l1 p1 + l2 p2 = 0, so its q + 1 points are solved from that
+    # equation, in ascending order
+    lines = [(1, a, b) for a in field for b in field]
+    lines += [(0, 1, b) for b in field]
+    lines.append((0, 0, 1))
+    top = q * q  # (0,1,b) is point top + b and (0,0,1) is point top + q
     edges = []
-    for line in pts:  # lines use the same normalised coordinates
-        edge = [i for i, pt in enumerate(pts) if dot(line, pt) == 0]
-        edges.append(edge)
-    h = Hypergraph(len(pts), edges)
+    for l0, l1, l2 in lines:
+        if l2:
+            r = mul[neg[1]][inv[l2]]  # -1 / l2
+            line = [a * q + mul[add[l0][mul[l1][a]]][r] for a in field]
+            line.append(top + mul[l1][r])
+        elif l1:
+            a = mul[neg[l0]][inv[l1]]
+            line = [a * q + b for b in field]
+            line.append(top + q)
+        else:
+            line = [top + b for b in field]
+            line.append(top + q)
+        edges.append(line)
+    h = Hypergraph(len(lines), edges)
     _check_plane(h, q)
     return h
 
 
 def _check_plane(h: Hypergraph, q: int) -> None:
+    # a linear instance has codegree at most 1, and lines of q + 1 >= 3
+    # points give codegree at least 1, so linearity pins the codegree
     n0 = q * q + q + 1
     if h.n != n0 or h.m != n0:
         raise RuntimeError(f"plane construction for q={q} has wrong size")
     if any(len(e) != q + 1 for e in h.edges):
         raise RuntimeError(f"plane construction for q={q} has a bad line size")
-    stats = degree_stats(h)
-    if set(stats.degree) != {q + 1} or stats.max_codegree != 1:
+    if set(h.view.degrees) != {q + 1}:
         raise RuntimeError(f"plane construction for q={q} is not a plane")
     preds = predicates(h)
     if not (preds.is_linear and preds.is_intersecting):
@@ -159,10 +165,9 @@ def t_fold(h: Hypergraph, t: int) -> Hypergraph:
     """Replace every edge by t parallel copies (copies are consecutive)."""
     if t < 1:
         raise ValueError("t_fold needs t >= 1")
-    edges = []
-    for e in h.edges:
-        edges.extend([e] * t)
-    return Hypergraph(h.n, edges)
+    edges = tuple(e for e in h.edges for _ in range(t))
+    masks = tuple(mask for mask in h.edge_masks for _ in range(t))
+    return Hypergraph._from_normal(h.n, edges, masks)
 
 
 def from_cliques(cliques: Sequence[Iterable[int]]) -> Hypergraph:
@@ -216,25 +221,36 @@ def random_bounded_codegree(params: GeneratorParams) -> Hypergraph:
     error.
     """
     rng = random.Random(params.seed)
+    n, t = params.n, params.t
     lo, hi = params.size_range
-    pair_count: dict[tuple[int, int], int] = {}
+    # at_least[k][v]: the vertices whose codegree with v exceeds k, kept as
+    # bit slices of a per-vertex counter; a draw is rejected iff one of its
+    # vertices already has codegree t with another
+    at_least = [[0] * n for _ in range(t)]
+    full = at_least[t - 1]
     edges: list[tuple[int, ...]] = []
+    masks: list[int] = []
+    vertices = range(n)
     budget = 50 * params.density
     tries = 0
     while len(edges) < params.density and tries < budget:
         tries += 1
         s = rng.randint(lo, hi)
-        verts = tuple(sorted(rng.sample(range(params.n), s)))
-        pairs = [
-            (verts[i], verts[j])
-            for i in range(len(verts))
-            for j in range(i + 1, len(verts))
-        ]
-        if any(pair_count.get(p, 0) >= params.t for p in pairs):
+        verts = sorted(rng.sample(vertices, s))
+        mask = blocked = 0
+        for v in verts:
+            mask |= 1 << v
+            blocked |= full[v]
+        if blocked & mask:
             continue
-        for p in pairs:
-            pair_count[p] = pair_count.get(p, 0) + 1
-        edges.append(verts)
+        for v in verts:
+            carry = mask & ~(1 << v)
+            for level in at_least:
+                level[v], carry = level[v] | carry, level[v] & carry
+                if not carry:
+                    break
+        edges.append(tuple(verts))
+        masks.append(mask)
     if len(edges) < params.density:
         logger.info(
             "random_bounded_codegree: %d of %d edges after %d tries",
@@ -242,4 +258,4 @@ def random_bounded_codegree(params: GeneratorParams) -> Hypergraph:
             params.density,
             tries,
         )
-    return Hypergraph(params.n, edges)
+    return Hypergraph._from_normal(n, tuple(edges), tuple(masks))

@@ -81,9 +81,22 @@ class Hypergraph:
                 mask |= 1 << v
             norm.append(verts)
             masks.append(mask)
+        self._set(n, tuple(norm), tuple(masks))
+
+    @classmethod
+    def _from_normal(
+        cls, n: int, edges: tuple[tuple[int, ...], ...], masks: tuple[int, ...]
+    ) -> "Hypergraph":
+        """An instance from edges that are already normal (sorted, distinct,
+        in range, non-empty) and their bitmasks, taken without checks."""
+        h = object.__new__(cls)
+        h._set(n, edges, masks)
+        return h
+
+    def _set(self, n: int, edges: tuple[tuple[int, ...], ...], masks: tuple[int, ...]) -> None:
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(norm))
-        object.__setattr__(self, "_masks", tuple(masks))
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_masks", masks)
         object.__setattr__(self, "_view", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
@@ -637,7 +650,9 @@ def subhypergraph(h: Hypergraph, edge_ids: Iterable[int]) -> tuple[Hypergraph, t
     for i in ids:
         if not 0 <= i < h.m:
             raise ValueError(f"edge id {i} out of range")
-    return Hypergraph(h.n, [h.edges[i] for i in ids]), ids
+    edges, masks = h.edges, h.edge_masks
+    sub_edges = tuple(edges[i] for i in ids)
+    return Hypergraph._from_normal(h.n, sub_edges, tuple(masks[i] for i in ids)), ids
 
 
 def uniform_lists(h: Hypergraph, k: int) -> dict[int, frozenset[int]]:

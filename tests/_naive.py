@@ -2,8 +2,9 @@
 
 Everything here is deliberately plain: static orders, exhaustive recursion,
 no shared code with the algorithms under test beyond the core Hypergraph
-container.  Expected values in the test suite come from these routines (or
-are fixed small constants verified by them).
+container and the GF(q) tables, which fix the plane's point labels.
+Expected values in the test suite come from these routines (or are fixed
+small constants verified by them).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from fractions import Fraction
 from time import monotonic
 
 from hyperchrom.characterize import TFoldNearPencil, TFoldProjectivePlane
+from hyperchrom.generators import _field_tables
 from hyperchrom.hypercore import Hypergraph
 
 
@@ -529,3 +531,43 @@ def naive_classify_extremal(h: Hypergraph, t: int):
         if kind is not None:
             return kind, bound, v
     raise AssertionError("tight instance left unclassified")
+
+
+def naive_plane_edges(q: int) -> list[list[int]]:
+    """The lines of PG(2, q) by testing every point against every line with
+    a dot product over GF(q); points and lines are the normalised triples
+    (1,a,b), (0,1,b), (0,0,1) in that order."""
+    add, mul = _field_tables(q)
+    pts = [(1, a, b) for a in range(q) for b in range(q)]
+    pts += [(0, 1, b) for b in range(q)]
+    pts.append((0, 0, 1))
+
+    def dot(u, v):
+        s = 0
+        for a, b in zip(u, v):
+            s = add[s][mul[a][b]]
+        return s
+
+    return [[i for i, pt in enumerate(pts) if dot(line, pt) == 0] for line in pts]
+
+
+def naive_random_bounded_codegree(params) -> list[tuple[int, ...]]:
+    """The rejection sampler's edges with codegrees kept in a pair dict:
+    the same draws from ``random.Random(params.seed)`` and the same budget
+    of 50 * density draws."""
+    rng = random.Random(params.seed)
+    lo, hi = params.size_range
+    pair_count: dict[tuple[int, int], int] = {}
+    edges: list[tuple[int, ...]] = []
+    tries = 0
+    while len(edges) < params.density and tries < 50 * params.density:
+        tries += 1
+        s = rng.randint(lo, hi)
+        verts = tuple(sorted(rng.sample(range(params.n), s)))
+        pairs = [(u, v) for i, u in enumerate(verts) for v in verts[i + 1 :]]
+        if any(pair_count.get(p, 0) >= params.t for p in pairs):
+            continue
+        for p in pairs:
+            pair_count[p] = pair_count.get(p, 0) + 1
+        edges.append(verts)
+    return edges

@@ -86,6 +86,10 @@ class TestParseHg:
             pytest.param("3 2\n0 1\n2 9 4", "line 3: vertex 9 outside 0..2", id="two-out"),
             pytest.param("4 1\n3 -1 9", "line 2: vertex -1 outside 0..3", id="both-sides"),
             pytest.param("0 1\n0", "line 2: vertex 0 outside 0..-1", id="no-vertices"),
+            # the first bad line in file order decides the message
+            pytest.param("3 2\n0 5\n0 x", "line 2: vertex 5 outside 0..2", id="range-then-letter"),
+            pytest.param("3 2\n0 x\n0 5", "line 2: vertex ids must be integers", id="letter-then-range"),
+            pytest.param("3 3\n0 1\n2 -4\n7 0", "line 3: vertex -4 outside 0..2", id="two-lines-out"),
         ],
     )
     def test_bad_vertex_messages(self, text, message):
@@ -450,6 +454,28 @@ class TestClassify:
         kind = rep["certificates"]["classification"]["kind"]
         assert kind["type"] == "TFoldProjectivePlane" and kind["k"] == 2
         assert rep["certificates"]["debruijn_erdos"]["bound_holds"] is True
+
+    @pytest.mark.parametrize("fold", [1, 2])
+    def test_bound_and_classification_computed_once(self, tmp_path, capsys, monkeypatch, fold):
+        from hyperchrom import characterize
+
+        calls = {"intersecting_bound": 0, "_classify_extremal": 0}
+        for name in calls:
+            original = getattr(characterize, name)
+
+            def counted(*args, _original=original, _name=name):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(characterize, name, counted)
+        path = _write(tmp_path, "plane.hg", t_fold(projective_plane(3), fold))
+        assert main(["classify", "--in", path, "--t", str(fold)]) == 0
+        rep = _report(capsys)
+        assert rep["certificates"]["classification"]["kind"]["k"] == 3
+        # the de Bruijn-Erdos check applies to the linear 1-fold only, and
+        # there reuses the classification
+        assert rep["certificates"]["debruijn_erdos"]["applies"] is (fold == 1)
+        assert calls == {"intersecting_bound": 1, "_classify_extremal": 1}
 
 
 class TestVerify:

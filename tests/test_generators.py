@@ -1,4 +1,5 @@
 import logging
+import random
 
 import pytest
 
@@ -13,14 +14,26 @@ from hyperchrom import (
     predicates,
     projective_plane,
     random_bounded_codegree,
+    subhypergraph,
     t_fold,
     volume,
 )
+from hyperchrom.generators import SUPPORTED_PLANE_ORDERS, _check_plane
+from tests._naive import naive_plane_edges, naive_random_bounded_codegree
 from tests.conftest import FANO_LINES
 
 
+def assert_same_as_fresh(h: Hypergraph, edges) -> None:
+    """``h`` equals, mask for mask, the instance the public constructor
+    builds from ``edges``."""
+    fresh = Hypergraph(h.n, edges)
+    assert h == fresh
+    assert h.edges == fresh.edges
+    assert h.edge_masks == fresh.edge_masks
+
+
 class TestProjectivePlane:
-    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+    @pytest.mark.parametrize("q", SUPPORTED_PLANE_ORDERS)
     def test_incidence_axioms(self, q):
         h = projective_plane(q)
         n = q * q + q + 1
@@ -31,6 +44,33 @@ class TestProjectivePlane:
         assert stats.max_codegree == 1
         p = predicates(h)
         assert p.is_linear and p.is_intersecting
+
+    @pytest.mark.parametrize("q", SUPPORTED_PLANE_ORDERS)
+    def test_matches_dot_product_construction(self, q):
+        lines = naive_plane_edges(q)
+        for t in (1, 2, 3):
+            folded = t_fold(projective_plane(q), t)
+            assert_same_as_fresh(folded, [e for e in lines for _ in range(t)])
+
+    def test_check_rejects_a_swapped_line(self):
+        h = projective_plane(3)
+        _check_plane(h, 3)
+        # a point of line 0 traded for one off it: two degrees go wrong
+        line = h.edges[0]
+        outside = min(set(range(h.n)) - set(line))
+        swapped = [(*line[1:], outside), *h.edges[1:]]
+        with pytest.raises(RuntimeError, match="not a plane"):
+            _check_plane(Hypergraph(h.n, swapped), 3)
+        # line 0 replaced by a copy of line 1: line 1's points reach degree q + 2
+        with pytest.raises(RuntimeError, match="not a plane"):
+            _check_plane(Hypergraph(h.n, [h.edges[1], *h.edges[1:]]), 3)
+
+    def test_check_rejects_regular_non_linear_design(self):
+        # seven 3-sets {i, i+1, i+2} mod 7: every size and degree as in the
+        # Fano plane, but consecutive lines share two points
+        h = Hypergraph(7, [(i, (i + 1) % 7, (i + 2) % 7) for i in range(7)])
+        with pytest.raises(RuntimeError, match="not linear"):
+            _check_plane(h, 2)
 
     def test_fano_matches_difference_set_construction(self):
         assert is_isomorphic(projective_plane(2), Hypergraph(7, FANO_LINES))
@@ -89,6 +129,19 @@ class TestTFold:
     def test_rejects_zero(self, fano):
         with pytest.raises(ValueError):
             t_fold(fano, 0)
+
+    def test_copies_match_a_fresh_build(self, corpus):
+        for h, _t in corpus[:8] + [(near_pencil(6), 1)]:
+            for t in (1, 2, 3):
+                assert_same_as_fresh(t_fold(h, t), [e for e in h.edges for _ in range(t)])
+
+    def test_subhypergraph_matches_a_fresh_build(self, corpus):
+        rng = random.Random(5)
+        for h, _t in corpus[:8]:
+            ids = rng.sample(range(h.m), rng.randint(0, h.m))
+            sub, back = subhypergraph(h, ids)
+            assert back == tuple(ids)
+            assert_same_as_fresh(sub, [h.edges[i] for i in ids])
 
 
 class TestFromCliques:
@@ -155,6 +208,22 @@ class TestRandomBoundedCodegree:
         with caplog.at_level(logging.INFO):
             h = random_bounded_codegree(params)
         assert h.m < 50
+
+    def test_matches_pair_dict_sampler(self):
+        rng = random.Random(2024)
+        for _ in range(1000):
+            n = rng.randint(1, 16)
+            lo = rng.randint(1, n)
+            params = GeneratorParams(
+                seed=rng.getrandbits(32),
+                n=n,
+                t=rng.randint(1, 4),
+                size_range=(lo, rng.randint(lo, n)),
+                density=rng.randint(0, 12),
+            )
+            assert_same_as_fresh(
+                random_bounded_codegree(params), naive_random_bounded_codegree(params)
+            )
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
