@@ -4,14 +4,18 @@
 its own bitmask list.  ``solve_chromatic`` (``oracle.exact_chromatic_index``)
 runs it with the lists {0..k-1} and first-use symmetry breaking;
 ``list_colour`` (``oracle.exact_list_colourable``) runs it with the caller's
-lists and no symmetry breaking.  Both return a ``completed`` flag that is
-False only when the wall-clock time cap interrupted the search; the cap is
-polled every ``_POLL`` search nodes.
+lists and no symmetry breaking.  Both take ``cliques`` of the graph (the
+oracles pass the vertex stars, which are cliques of the line graph), and the
+search fails every node where a clique's uncoloured members outnumber the
+colours they have left between them.  Both return a ``completed`` flag that
+is False only when the wall-clock time cap interrupted the search; the cap
+is polled every ``_POLL`` search nodes.
 """
 
 from __future__ import annotations
 
 from time import monotonic
+from typing import Sequence
 
 _POLL = 4096
 
@@ -52,10 +56,15 @@ def _greedy_colouring(adj: list[int], order: list[int]) -> list[int]:
 
 
 def _search(
-    adj: list[int], lists: list[int], deadline: float | None, first_use: bool
-) -> tuple[list[int] | None, int]:
-    """``(colouring, nodes)``: a proper colouring with vertex v coloured from
-    bitmask ``lists[v]`` (None when none exists), and the search nodes visited.
+    adj: list[int],
+    lists: list[int],
+    deadline: float | None,
+    first_use: bool,
+    cliques: Sequence[int] = (),
+) -> tuple[list[int] | None, int, int]:
+    """``(colouring, nodes, reads)``: a proper colouring with vertex v
+    coloured from bitmask ``lists[v]`` (None when none exists), the search
+    nodes visited, and the clique unions computed.
 
     Depth-first search that branches on the uncoloured vertex with the
     fewest colours left (ties: higher degree, then lower id) and tries its
@@ -63,6 +72,14 @@ def _search(
     colour above one more than the highest colour used so far, which
     breaks the symmetry of interchangeable lists {0..k-1}.  Raises
     ``_Timeout`` once ``deadline`` has passed.
+
+    Star check: ``cliques`` are vertex masks of cliques of the graph, whose
+    members need distinct colours.  A node fails when some clique's
+    uncoloured members outnumber the union of their colours left (Hall's
+    condition on that clique).  Only a clique with more uncoloured members
+    than the fewest colours left anywhere (``least``) can fail it, so only
+    those have their union computed, in the order given; with no cliques
+    the search visits the same tree as without the check.
 
     Bookkeeping: vertices are renumbered by (higher degree, lower id), so
     the branch vertex is the lowest slot among those with fewest colours
@@ -104,13 +121,17 @@ def _search(
     counts = guards + sum(lists[u].bit_count() * slot[i] for i, u in enumerate(order))
     at_most = [(m + 1) * ones for m in range(most + 1)]
     palette = (1 << colours) - 1
+    # a clique of one vertex never fails a node; a clique's colours left are
+    # ORed down into the lowest slot by halving shifts
+    packs = [packed(k) for k in cliques if k.bit_count() > 1]
+    folds = [width << j for j in reversed(range((n - 1).bit_length()))]
     col = [-1] * n
-    nodes = 0
+    nodes = reads = 0
 
     def dfs(unc: int, free: int, counts: int, floor: int, opened: int) -> bool:
         # floor: a lower bound on the fewest colours left, one below the
         # parent's, as a branch takes at most one colour from each vertex
-        nonlocal nodes
+        nonlocal nodes, reads
         nodes += 1
         if deadline is not None and nodes % _POLL == 0 and monotonic() > deadline:
             raise _Timeout
@@ -125,6 +146,16 @@ def _search(
             least += 1
         if not least:
             return False
+        for clique in packs:
+            members = clique & unc
+            size = members.bit_count()
+            if size > least:
+                reads += 1
+                union = free & members * palette
+                for shift in folds:
+                    union |= union >> shift
+                if (union & palette).bit_count() < size:
+                    return False
         i = (fewest & -fewest).bit_length() // width - 1
         rest = unc ^ slot[i]
         nbrs = rows[i] & rest
@@ -150,20 +181,21 @@ def _search(
         return False
 
     if not dfs(ones, free, counts, 0, 0):
-        return None, nodes
+        return None, nodes, reads
     out = [-1] * n
     for i, u in enumerate(order):
         out[u] = col[i]
-    return out, nodes
+    return out, nodes, reads
 
 
 def solve_chromatic(
-    adj: list[int], time_cap_ms: int = 0, lower: int = 0
+    adj: list[int], time_cap_ms: int = 0, lower: int = 0, cliques: Sequence[int] = ()
 ) -> tuple[int, list[int], bool]:
     """Exact chromatic number of a bitmask-adjacency graph.
 
     Greedy clique lower bound, greedy upper bound, then ``_search`` for a
-    colouring from {0..k-1} with first-use symmetry breaking, for k one
+    colouring from {0..k-1} with first-use symmetry breaking and the star
+    check on ``cliques`` (vertex masks of cliques of the graph), for k one
     below the best colouring so far, until it fails.  ``lower`` must be a
     proven lower bound on the chromatic number (the caller's own
     certificate); the search stops once it reaches max(greedy clique,
@@ -181,7 +213,9 @@ def solve_chromatic(
     k = max(best)
     while k >= lb:
         try:
-            res, _nodes = _search(adj, [(1 << k) - 1] * n, deadline, first_use=True)
+            res, _nodes, _reads = _search(
+                adj, [(1 << k) - 1] * n, deadline, first_use=True, cliques=cliques
+            )
         except _Timeout:
             return max(best) + 1, best, False
         if res is None:
@@ -192,13 +226,17 @@ def solve_chromatic(
 
 
 def list_colour(
-    adj: list[int], lists: list[int], time_cap_ms: int = 0
+    adj: list[int], lists: list[int], time_cap_ms: int = 0, cliques: Sequence[int] = ()
 ) -> tuple[list[int] | None, bool]:
     """``(colouring, completed)``: a colouring from the bitmask lists, or
     None when none exists; ``completed`` is False (colouring None) when
-    the time cap (0: none) fired first."""
+    the time cap (0: none) fired first.  ``_search`` runs without symmetry
+    breaking and with the star check on ``cliques`` (vertex masks of
+    cliques of the graph)."""
     try:
-        col, _nodes = _search(adj, lists, _deadline(time_cap_ms), first_use=False)
+        col, _nodes, _reads = _search(
+            adj, lists, _deadline(time_cap_ms), first_use=False, cliques=cliques
+        )
     except _Timeout:
         return None, False
     return col, True

@@ -595,7 +595,6 @@ def colour_extremal(
 
         res = exact_list_colourable(h, allowed, OracleBudget(max_edges=exact_budget))
         if res.status == "yes":
-            assert res.witness is not None
             return dict(res.witness), report("5: exact search")
         if res.status == "no":
             attempts.append("rung 5 proved no list colouring exists")

@@ -12,7 +12,14 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from . import _kernel_py
-from .hypercore import Hypergraph, ListMasks, canonical_form, edge_list_masks, star_pigeonhole
+from .hypercore import (
+    Hypergraph,
+    ListMasks,
+    canonical_form,
+    edge_list_masks,
+    star_pigeonhole,
+    validate_colouring,
+)
 
 __all__ = [
     "OracleBudget",
@@ -75,7 +82,8 @@ def exact_chromatic_index(
     edges through one vertex form a clique of the line graph, so Δ(H) <= χ'.
     When that bound meets the greedy colouring no search runs.  Otherwise
     ``_kernel_py.solve_chromatic`` closes the gap with the kernel's one
-    search, here with first-use colour symmetry breaking.  Refuses with a
+    search, here with first-use colour symmetry breaking and the star
+    check on the vertex stars at every node.  Refuses with a
     typed BudgetExceeded instead of guessing when a limit is hit; a time
     refusal carries Δ(H) as ``lower`` and the colours of its best colouring
     as ``upper``.
@@ -87,7 +95,9 @@ def exact_chromatic_index(
         return 0
     adj = list(h.view.rows)
     delta = max(h.view.degrees)
-    chi, _col, completed = _kernel_py.solve_chromatic(adj, budget.time_cap_ms, lower=delta)
+    chi, _col, completed = _kernel_py.solve_chromatic(
+        adj, budget.time_cap_ms, lower=delta, cliques=h.view.incidence
+    )
     if not completed:
         return BudgetExceeded(
             "time", f"best upper bound so far: {chi}", lower=delta, upper=chi
@@ -108,9 +118,12 @@ def exact_list_colourable(
     settles 'no' before any search, and the detail is that Hall
     violator's: ``Hall violator: k edges, c colours``.  Otherwise
     ``_kernel_py.list_colour`` searches the line graph: it branches on the
-    edge with the fewest colours left.  A 'yes' carries a witness
-    colouring in the original colours; a time cap hit is refused as
-    'budget'.
+    edge with the fewest colours left, and fails every node where a
+    star's uncoloured edges outnumber the colours they have left between
+    them, the same pigeonhole check on what the search has not coloured.
+    A 'yes' carries a witness colouring in the original colours, checked
+    with ``validate_colouring`` against the lists (a clash is an internal
+    error, raised); a time cap hit is refused as 'budget'.
     """
     budget = budget or OracleBudget()
     if h.m > budget.max_edges:
@@ -122,12 +135,22 @@ def exact_list_colourable(
     if star is not None:
         return ListColourResult("no", detail=star.detail)
     masks = [lm.masks[e] for e in range(h.m)]
-    col, completed = _kernel_py.list_colour(list(h.view.rows), masks, budget.time_cap_ms)
+    col, completed = _kernel_py.list_colour(
+        list(h.view.rows), masks, budget.time_cap_ms, cliques=h.view.incidence
+    )
     if not completed:
         return ListColourResult("budget", detail="time cap hit")
     if col is None:
         return ListColourResult("no")
-    return ListColourResult("yes", witness={e: lm.colours[c] for e, c in enumerate(col)})
+    witness = {e: lm.colours[c] for e, c in enumerate(col)}
+    # checked against the caller's own lists where given, not the masks the
+    # search used, so a wrong mask cannot vouch for itself
+    if isinstance(lists, ListMasks):
+        lists = {e: lm.decode(lm.masks[e]) for e in range(h.m)}
+    report = validate_colouring(h, witness, lists)
+    if not report.valid:
+        raise RuntimeError(f"internal: list search witness fails its lists: {report.violations}")
+    return ListColourResult("yes", witness=witness)
 
 
 def enumerate_hypergraphs(

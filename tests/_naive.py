@@ -69,32 +69,55 @@ class _Timeout(Exception):
 
 
 def naive_search(
-    adj: list[int], lists: list[int], deadline: float | None, first_use: bool
-) -> tuple[list[int] | None, int]:
+    adj: list[int],
+    lists: list[int],
+    deadline: float | None,
+    first_use: bool,
+    cliques=(),
+) -> tuple[list[int] | None, int, int]:
     """The kernel's colouring search as it read with a tuple branching key per
     vertex and a neighbour walk per colour: ``_kernel_py._search`` must visit
-    the same tree.  Returns (colouring or None, nodes visited).
+    the same tree.  Returns (colouring or None, nodes visited, clique unions
+    computed).
 
     Depth-first search that branches on the uncoloured vertex with the
     fewest colours left (ties: higher degree, then lower id) and tries its
     colours in ascending order.  With ``first_use`` a vertex takes no
     colour above one more than the highest colour used so far, which
-    breaks the symmetry of interchangeable lists {0..k-1}.  None when no
-    colouring exists; raises ``_Timeout`` once ``deadline`` has passed.
+    breaks the symmetry of interchangeable lists {0..k-1}.  A node with a
+    vertex out of colours fails; otherwise, for each clique mask in
+    ``cliques`` in turn whose uncoloured members outnumber the fewest
+    colours left of any uncoloured vertex, the union of the members' colours
+    left is ORed together, and the node fails when it has fewer colours
+    than the clique has uncoloured members.  None when no colouring exists;
+    raises ``_Timeout`` once ``deadline`` has passed.
     """
     n = len(adj)
     col = [-1] * n
     free = list(lists)  # colours still open to each uncoloured vertex
     deg = [a.bit_count() for a in adj]
-    nodes = 0
+    nodes = reads = 0
 
     def dfs(depth: int, opened: int) -> bool:
-        nonlocal nodes
+        nonlocal nodes, reads
         nodes += 1
         if deadline is not None and nodes % _POLL == 0 and monotonic() > deadline:
             raise _Timeout
         if depth == n:
             return True
+        uncoloured = [u for u in range(n) if col[u] < 0]
+        least = min(free[u].bit_count() for u in uncoloured)
+        if least == 0:
+            return False
+        for clique in cliques:
+            members = [u for u in uncoloured if clique >> u & 1]
+            if len(members) > least:
+                reads += 1
+                union = 0
+                for u in members:
+                    union |= free[u]
+                if union.bit_count() < len(members):
+                    return False
         v = -1
         best_key = None
         for u in range(n):
@@ -125,7 +148,7 @@ def naive_search(
         return False
 
     found = dfs(0, 0)
-    return (list(col) if found else None), nodes
+    return (list(col) if found else None), nodes, reads
 
 
 def naive_smallest_free_greedy(adj: list[int], order) -> list[int]:

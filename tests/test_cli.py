@@ -401,7 +401,9 @@ class TestExact:
         from hyperchrom import _kernel_py
 
         monkeypatch.setattr(
-            _kernel_py, "solve_chromatic", lambda adj, cap, lower=0: (8, [0] * len(adj), False)
+            _kernel_py,
+            "solve_chromatic",
+            lambda adj, cap, lower=0, cliques=(): (8, [0] * len(adj), False),
         )
         path = _write(tmp_path, "fano.hg", fano)
         assert main(["exact", "--in", path, "--time-cap-ms", "50"]) == 1

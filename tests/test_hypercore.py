@@ -331,6 +331,19 @@ class TestListMasks:
         assert lm.mask([10**6, 3, 10**9]) == (1 << lm.position[10**6]) | (1 << lm.position[3])
         assert list_masks(lm) is lm
 
+    def test_masks_equal_a_per_colour_build(self):
+        rng = random.Random(7701)
+        pool = [*SPARSE_COLOURS, -(2**70), 2**70, 2**70 + 1]
+        lists = {e: rng.sample(pool, rng.randint(1, len(pool) - 1)) for e in range(30)}
+        lists[30] = [2**70]
+        lists[31] = []
+        lists[32] = pool  # the full list
+        lm = list_masks(lists)
+        colours = sorted(set(pool))
+        assert lm.colours == tuple(colours)
+        for e, cs in lists.items():
+            assert lm.masks[e] == sum(1 << colours.index(c) for c in set(cs)), e
+
     def test_only_the_given_edges(self):
         lists = {0: [5, 9], 1: [-2], 2: [9, 100]}
         lm = list_masks(lists, [2, 0])

@@ -23,7 +23,7 @@ from hyperchrom import (
     t_fold,
     validate_colouring,
 )
-from hyperchrom import _kernel_py
+from hyperchrom import _kernel_py, hypercore
 from hyperchrom.hypercore import canonical_form
 
 from tests._naive import (
@@ -80,7 +80,7 @@ class TestExactChromaticIndex:
         monkeypatch.setattr(
             _kernel_py,
             "solve_chromatic",
-            lambda adj, cap, lower=0: (9, [0] * len(adj), False),
+            lambda adj, cap, lower=0, cliques=(): (9, [0] * len(adj), False),
         )
         out = exact_chromatic_index(fano)
         assert isinstance(out, BudgetExceeded)
@@ -263,6 +263,37 @@ class TestExactListColourable:
         )
         assert time.monotonic() - started < 1.0
         assert res == ListColourResult("budget", detail="time cap hit")
+
+    @pytest.mark.parametrize(
+        "col,lists",
+        [
+            # every line takes the same colour: two meeting lines clash
+            ([0] * 7, {e: range(7) for e in range(7)}),
+            # proper, but line 0 takes colour 0, which its list lacks
+            (list(range(7)), {0: range(1, 8), **{e: range(7) for e in range(1, 7)}}),
+        ],
+        ids=["conflict", "off-list"],
+    )
+    def test_witness_that_fails_its_lists_raises(self, monkeypatch, fano, col, lists):
+        monkeypatch.setattr(
+            _kernel_py, "list_colour", lambda adj, masks, cap, cliques=(): (col, True)
+        )
+        with pytest.raises(RuntimeError, match="^internal: "):
+            exact_list_colourable(fano, lists)
+
+    def test_witness_is_checked_against_the_given_lists(self, monkeypatch, fano):
+        # a wrong mask offers line 0 only colour 0, which its list lacks: the
+        # search obeys the mask, and only the caller's lists catch the clash
+        real = hypercore.list_masks
+
+        def wrong_masks(lists, edge_ids=None):
+            lm = real(lists, edge_ids)
+            return lm._replace(masks={**lm.masks, 0: 1 << lm.position[0]})
+
+        monkeypatch.setattr(hypercore, "list_masks", wrong_masks)
+        lists = {0: range(1, 8), **{e: range(7) for e in range(1, 7)}}
+        with pytest.raises(RuntimeError, match="^internal: .*'list', 0"):
+            exact_list_colourable(fano, lists)
 
 
 class TestMaximumComplementMatching:
