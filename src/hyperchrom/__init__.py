@@ -6,8 +6,9 @@ pairwise codegree is bounded by t: generators for the extremal families
 partitions, matching-based and pipeline colouring procedures, exact
 oracles, and classification of the instances attaining e(H) = t*max|N[v]|.
 
-All numeric comparisons behind certificates use exact rationals; square and
-fourth roots enter only through rational enclosures.
+All numeric comparisons behind certificates use exact rationals; square
+roots are compared by squaring both sides, and fourth roots enter only
+through rational enclosures.
 """
 
 import importlib
@@ -22,15 +23,15 @@ _EXPORTS = {
         "characterize": (
             "Classification", "NotApplicable", "NotExtremal", "TFoldNearPencil",
             "TFoldProjectivePlane", "classify_extremal", "debruijn_erdos_check",
-            "intersecting_bound", "motzkin_check",
+            "intersecting_bound",
         ),
         "extremal": (
             "ComplementMatching", "ExtremalReport", "UsefulFamily", "colour_extremal",
             "colour_from_matching", "find_useful_family", "is_t_useful",
-            "maximal_complement_matching", "useful_cover_colour",
+            "maximal_complement_matching",
         ),
         "generators": (
-            "GeneratorParams", "from_cliques", "near_pencil", "projective_plane",
+            "GeneratorParams", "near_pencil", "projective_plane",
             "random_bounded_codegree", "t_fold",
         ),
         "hypercore": (

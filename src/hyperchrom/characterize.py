@@ -4,16 +4,13 @@ classification of its equality cases.
 An intersecting hypergraph with codegree at most t and no singleton edges
 has at most t * max_v |N[v]| edges; equality forces the structure to be a
 t-fold projective plane or a t-fold near-pencil.  This module verifies the
-bound, classifies tight instances, evaluates the bipartite counting
-inequality the proof rests on, and specializes everything to the classical
+bound, classifies tight instances, and specializes both to the classical
 linear case (t = 1, bound n).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable
 
 from .hypercore import Hypergraph, degree_stats, predicates
 
@@ -23,7 +20,6 @@ __all__ = [
     "NotExtremal",
     "NotApplicable",
     "Classification",
-    "motzkin_check",
     "intersecting_bound",
     "classify_extremal",
     "debruijn_erdos_check",
@@ -66,47 +62,6 @@ class Classification:
     e_count: int
     bound: int | None
     witness_vertex: int | None
-
-
-def motzkin_check(
-    x_size: int, y_size: int, adjacency: Iterable[tuple[int, int]]
-) -> dict:
-    """Exact evaluation of the bipartite non-edge counting inequality.
-
-    For a bipartite graph on parts X, Y in which no x is adjacent to all of
-    Y, the sum over non-adjacent pairs (x, y) of
-
-        (|X| d(x) - |Y| d(y)) / ((|X| - d(y)) (|Y| - d(x)))
-
-    is non-negative.  Returns the exact rational sum and the verdict; a
-    vertex of X adjacent to every vertex of Y violates the hypothesis and
-    raises ValueError.
-    """
-    if x_size < 1 or y_size < 1:
-        raise ValueError("both sides of the bipartition must be non-empty")
-    adj = set()
-    for x, y in adjacency:
-        if not (0 <= x < x_size and 0 <= y < y_size):
-            raise ValueError(f"adjacency pair ({x}, {y}) out of range")
-        adj.add((x, y))
-    dx = [0] * x_size
-    dy = [0] * y_size
-    for x, y in adj:
-        dx[x] += 1
-        dy[y] += 1
-    for x in range(x_size):
-        if dx[x] == y_size:
-            raise ValueError(f"x={x} is adjacent to every vertex of Y")
-    total = Fraction(0)
-    for x in range(x_size):
-        for y in range(y_size):
-            if (x, y) in adj:
-                continue
-            denom = (x_size - dy[y]) * (y_size - dx[x])
-            if denom == 0:  # pragma: no cover - excluded by the hypothesis
-                raise RuntimeError("internal: zero denominator on a non-edge term")
-            total += Fraction(x_size * dx[x] - y_size * dy[y], denom)
-    return {"sum": total, "holds": total >= 0}
 
 
 def intersecting_bound(h: Hypergraph, t: int) -> dict:

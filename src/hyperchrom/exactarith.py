@@ -1,9 +1,9 @@
 """Exact rational arithmetic helpers.
 
 Every inequality in this package is decided over the rationals; floats never
-enter a comparison.  Irrational quantities (square and fourth roots) are
-handled either by squaring both sides or by rational enclosures with
-denominator at most ``ENCLOSURE_DEN``.
+enter a comparison.  Square roots are compared by squaring both sides;
+fourth roots enter through rational enclosures with denominator at most
+``ENCLOSURE_DEN``.
 """
 
 from __future__ import annotations
@@ -21,22 +21,6 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, float):
         raise TypeError("refusing float input; pass a Fraction, int or string")
     return Fraction(x)
-
-
-def sqrt_enclosure(x: Fraction, den: int = ENCLOSURE_DEN) -> tuple[Fraction, Fraction]:
-    """Return rationals ``lo <= sqrt(x) <= hi`` with denominators <= den.
-
-    ``lo == hi`` exactly when sqrt(x) is representable with denominator den.
-    """
-    x = Fraction(x)
-    if x < 0:
-        raise ValueError("sqrt of negative rational")
-    m, rem = divmod(x.numerator * den * den, x.denominator)
-    r = isqrt(m)
-    lo = Fraction(r, den)
-    if rem == 0 and r * r == m:
-        return lo, lo
-    return lo, Fraction(r + 1, den)
 
 
 def fourth_root_enclosure(x: Fraction, den: int = ENCLOSURE_DEN) -> tuple[Fraction, Fraction]:

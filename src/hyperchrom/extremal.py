@@ -1,12 +1,13 @@
 """Colouring hypergraphs with nearly as many edges as colours.
 
 When e(H) is close to t*n, proper colourings from tn-sized lists hinge on
-finding a few disjoint edge pairs that can share a colour (a *complement
-matching*), or a small family of pairwise-intersecting edges whose designated
-pairs have small common neighbourhoods (a *useful family*), which manufactures
-such a matching.  This module builds both; ``colour_extremal`` colours from
-the maximum complement matching, which is never smaller than the one a
-useful family yields.
+finding disjoint edge pairs that can share a colour (a *complement
+matching*).  ``colour_extremal`` colours from a maximum complement matching.
+The paper's other source of such pairs, a small family of
+pairwise-intersecting edges whose designated pairs have small common
+neighbourhoods (a *useful family*), is searched for by
+``find_useful_family``; no rung uses it, since it would yield a matching no
+larger than the maximum one.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ __all__ = [
     "is_t_useful",
     "maximal_complement_matching",
     "colour_from_matching",
-    "useful_cover_colour",
     "find_useful_family",
     "colour_extremal",
 ]
@@ -122,30 +122,30 @@ def maximal_complement_matching(h: Hypergraph) -> ComplementMatching:
     return cm
 
 
-def _first_disjoint_pair(h: Hypergraph) -> tuple[int, int] | None:
-    """The lexicographically first pair i < j of vertex-disjoint edges."""
-    for i, row in enumerate(h.view.line_graph.complement().adj):
-        later = row >> (i + 1)
-        if later:
-            return i, i + 1 + (later & -later).bit_length() - 1
-    return None
-
-
 def colour_from_matching(
     h: Hypergraph,
     matching: ComplementMatching,
     lists: Mapping[int, Iterable[int]] | ListMasks,
-) -> dict[int, int] | ColouringFailure:
+) -> dict[int, int]:
     """Colour with e(H) - |matching| colour classes: one per matched pair,
     one per leftover edge.
 
-    Requires every list to have at least e(H) - |matching| colours.  A
+    Requires every list to have at least k = e(H) - |matching| colours.  A
     class may take the colours common to its lists (an AND of list masks)
     that no class has used yet (one ``used`` mask).  Classes are processed
     by ascending flexibility, the number of colours a class may take, and
     take the smallest of them.  Pairs whose lists have no unused common
-    colour left are deferred and finished with a system of distinct
-    representatives, which the size precondition guarantees.
+    colour left are deferred, and their members get pairwise different
+    unused colours (a system of distinct representatives), two per pair.
+
+    The deferral cannot fail.  Say p pairs are pending when no class can
+    take a colour.  Every leftover edge has been coloured (its own list
+    minus ``used`` is never empty), so k - p colours are used, and each
+    pending edge has at least p colours left.  The two members of a
+    pending pair have disjoint colours left.  So a set S of pending edges
+    that holds both members of some pair sees at least 2p >= |S| colours,
+    and any other S has at most p edges, each with at least p colours:
+    Hall's condition holds, and the distinct representatives exist.
     """
     matching.validate(h)
     lm = edge_list_masks(h, lists)
@@ -194,74 +194,12 @@ def colour_from_matching(
             lm._replace(masks={e: masks[e] & ~used for e in edges}), edges
         )
         if isinstance(assignment, HallViolator):
-            return ColouringFailure(
-                stage="colour_from_matching",
-                detail="no system of distinct representatives for deferred pairs",
+            raise RuntimeError(
+                "internal: deferred pairs have no distinct representatives"
+                f" ({assignment.detail})"
             )
         colouring.update(assignment)
     return colouring
-
-
-def useful_cover_colour(
-    h: Hypergraph,
-    t: int,
-    family: UsefulFamily,
-    lists: Mapping[int, Iterable[int]] | ListMasks,
-) -> dict[int, int] | ColouringFailure:
-    """Turn a useful family into a complement matching of size r+1 and colour.
-
-    With r = e(H) - t*n >= 0 and a family of 2r+2 pairwise-intersecting edges
-    whose designated pairs are t-useful, each pair's small common
-    neighbourhood leaves, at every step, some edge disjoint from one of the
-    two; pairing them up yields r+1 disjoint pairs, so e(H) - (r+1) = tn - 1
-    classes suffice.  Lists must have at least t*n colours.
-    """
-    r = h.m - t * h.n
-    if r < 0:
-        raise ValueError("useful_cover_colour needs e(H) >= t*n")
-    fam = family.edges
-    if len(fam) != 2 * r + 2:
-        raise ValueError(f"family must have {2 * r + 2} edges, got {len(fam)}")
-    if len(set(fam)) != len(fam):
-        raise ValueError("family edges must be distinct")
-    adj = h.view.rows
-    for i, a in enumerate(fam):
-        for b in fam[i + 1 :]:
-            if not adj[a] >> b & 1:
-                raise ValueError(f"family edges {a} and {b} do not intersect")
-    for a, b in family.designated_pairs():
-        if not is_t_useful(h, t, a, b):
-            raise ValueError(f"designated pair ({a}, {b}) is not {t}-useful")
-    allowed = edge_list_masks(h, lists)
-    if any(allowed.masks[i].bit_count() < t * h.n for i in range(h.m)):
-        raise ValueError("every list needs at least t*n colours")
-
-    full = (1 << h.m) - 1
-    chosen_mask = 0
-    pairs: list[tuple[int, int]] = []
-    for a, b in family.designated_pairs():
-        excluded = (adj[a] & adj[b]) | (1 << a) | (1 << b) | chosen_mask
-        s_mask = full & ~excluded
-        if s_mask == 0:
-            raise RuntimeError(
-                "internal: cover step ran out of edges; counting bound violated"
-            )
-        f = (s_mask & -s_mask).bit_length() - 1
-        misses_a = not adj[a] >> f & 1
-        misses_b = not adj[b] >> f & 1
-        if misses_a and misses_b:
-            partner = min(a, b)
-        elif misses_a:
-            partner = a
-        elif misses_b:
-            partner = b
-        else:
-            raise RuntimeError("internal: selected edge meets both pair members")
-        pairs.append((min(f, partner), max(f, partner)))
-        chosen_mask |= 1 << f
-    cm = ComplementMatching(tuple(sorted(pairs)))
-    cm.validate(h)
-    return colour_from_matching(h, cm, allowed)
 
 
 def _plane_scale(n: int) -> int:
@@ -521,17 +459,20 @@ def colour_extremal(
     """Fallback ladder for the extremal regime e(H) ≈ t*n.
 
     Tries, in order: an all-distinct colouring (pairwise different colours,
-    a system of distinct representatives of the lists) when e(H) < t*n; the
-    same on intersecting H, or a single disjoint pair otherwise, at
-    e(H) = t*n; a maximum complement matching; and finally exhaustive
-    search when e(H) fits the budget.  On intersecting H every proper
-    colouring is all-distinct, so a Hall violator from rung 1 or 2 ends the
-    ladder: the failure carries the violator's detail.  There is no
-    useful-family rung for e(H) > t*n: ``find_useful_family`` returns a
-    family only when the maximum complement matching has at most
-    r = e(H) - t*n pairs, and ``useful_cover_colour`` would build r+1
-    disjoint pairs from it, so it never finds one.  The per-edge size
-    premise |V(e)| >= (1-delta)*sqrt(n) is reported, not enforced.
+    a system of distinct representatives of the lists) when e(H) < t*n, or
+    when e(H) = t*n and H is intersecting; a maximum complement matching;
+    and finally exhaustive search when e(H) fits the budget.  On
+    intersecting H every proper colouring is all-distinct, so a Hall
+    violator from rung 1 or 2 ends the ladder: the failure carries the
+    violator's detail.  Rung 4 colours whenever the shortest list has at
+    least e(H) - |matching| colours (see ``colour_from_matching``); at
+    e(H) = t*n on a non-intersecting H the matching has a pair, so lists
+    of e(H) - 1 colours always suffice there.  There is no useful-family
+    rung for e(H) > t*n: ``find_useful_family`` returns a family only when
+    the maximum complement matching has at most r = e(H) - t*n pairs, and a
+    family would yield r+1 disjoint pairs, so it never finds one.  The
+    per-edge size premise |V(e)| >= (1-delta)*sqrt(n) is reported, not
+    enforced.
     """
     if t < 1:
         raise ValueError("t must be positive")
@@ -563,32 +504,18 @@ def colour_extremal(
         attempts.append(f"rung 1 found no distinct colours: {out.detail}")
         if predicates(h).is_intersecting:
             return ColouringFailure("colour_extremal", detail=out.detail), report(None)
-    elif h.m == tn:
-        if not predicates(h).is_intersecting:
-            cm = ComplementMatching((_first_disjoint_pair(h),))
-            if shortest >= h.m - 1:
-                out = colour_from_matching(h, cm, allowed)
-                if isinstance(out, dict):
-                    return out, report("2: one disjoint pair (e = t*n)")
-                attempts.append("rung 2 pair route failed")
-            else:
-                attempts.append("rung 2 lists too small for pair route")
-        else:
-            out = distinct_representatives(allowed, range(h.m))
-            if isinstance(out, dict):
-                return out, report("2: all-distinct (e = t*n, intersecting)")
-            attempts.append(f"rung 2 found no distinct colours: {out.detail}")
-            return ColouringFailure("colour_extremal", detail=out.detail), report(None)
+    elif h.m == tn and predicates(h).is_intersecting:
+        out = distinct_representatives(allowed, range(h.m))
+        if isinstance(out, dict):
+            return out, report("2: all-distinct (e = t*n, intersecting)")
+        attempts.append(f"rung 2 found no distinct colours: {out.detail}")
+        return ColouringFailure("colour_extremal", detail=out.detail), report(None)
 
     cm = maximal_complement_matching(h)
     matching_size = cm.size
     if shortest >= h.m - cm.size:
-        out = colour_from_matching(h, cm, allowed)
-        if isinstance(out, dict):
-            return out, report("4: maximum complement matching")
-        attempts.append(f"rung 4 failed: {out.detail}")
-    else:
-        attempts.append("rung 4 lists smaller than e(H) - |matching|")
+        return colour_from_matching(h, cm, allowed), report("4: maximum complement matching")
+    attempts.append("rung 4 lists smaller than e(H) - |matching|")
 
     if h.m <= exact_budget:
         from .oracle import OracleBudget, exact_list_colourable

@@ -6,7 +6,7 @@ import logging
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .hypercore import Hypergraph, predicates
 
@@ -15,7 +15,6 @@ __all__ = [
     "projective_plane",
     "near_pencil",
     "t_fold",
-    "from_cliques",
     "random_bounded_codegree",
     "SUPPORTED_PLANE_ORDERS",
 ]
@@ -168,30 +167,6 @@ def t_fold(h: Hypergraph, t: int) -> Hypergraph:
     edges = tuple(e for e in h.edges for _ in range(t))
     masks = tuple(mask for mask in h.edge_masks for _ in range(t))
     return Hypergraph._from_normal(h.n, edges, masks)
-
-
-def from_cliques(cliques: Sequence[Iterable[int]]) -> Hypergraph:
-    """Hypergraph whose vertices are the given cliques of a ground set.
-
-    Ground vertices are 0..max id over all cliques; ground vertex v turns
-    into the edge {i : v in cliques[i]}.  A ground vertex covered by no
-    clique has no edge to become, so it is an error.
-    """
-    sets = [frozenset(c) for c in cliques]
-    if any(not s for s in sets):
-        raise ValueError("empty clique")
-    if not sets:
-        raise ValueError("no cliques given")
-    top = max(max(s) for s in sets)
-    if min(min(s) for s in sets) < 0:
-        raise ValueError("negative ground vertex")
-    edges = []
-    for v in range(top + 1):
-        e = [i for i, s in enumerate(sets) if v in s]
-        if not e:
-            raise ValueError(f"ground vertex {v} is covered by no clique")
-        edges.append(e)
-    return Hypergraph(len(sets), edges)
 
 
 @dataclass(frozen=True)

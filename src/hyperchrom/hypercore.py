@@ -106,9 +106,6 @@ class Hypergraph:
     def m(self) -> int:
         return len(self.edges)
 
-    def edge(self, i: int) -> tuple[int, ...]:
-        return self.edges[i]
-
     def edge_mask(self, i: int) -> int:
         return self._masks[i]
 
@@ -143,15 +140,6 @@ class Graph:
 
     n: int
     adj: tuple[int, ...]
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
-
-    def edge_count(self) -> int:
-        return sum(a.bit_count() for a in self.adj) // 2
 
     def complement(self) -> "Graph":
         full = (1 << self.n) - 1
@@ -712,7 +700,12 @@ def _canon_search(h: Hypergraph, colours: list[int], best: list, leaves: list[in
         if best[0] is None or form < best[0]:
             best[0] = form
         return
+    # twins (vertices on exactly the same edges) give the same forms: swapping
+    # two of them fixes every edge and the colouring, so branch on one of each
+    firsts: dict[int, int] = {}
     for v in target:
+        firsts.setdefault(h.view.incidence[v], v)
+    for v in firsts.values():
         nxt = list(colours)
         # individualize v: give it a fresh colour just below its cell
         nxt[v] = nxt[v] * 2 + 1

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import permutations
 from time import monotonic
 
 from hyperchrom.characterize import TFoldNearPencil, TFoldProjectivePlane
@@ -235,15 +236,6 @@ def naive_max_complement_matching_size(h: Hypergraph) -> int:
     return naive_max_matching_size(h.m, adj)
 
 
-def naive_first_disjoint_pair(h: Hypergraph) -> tuple[int, int] | None:
-    """The lexicographically first pair i < j of vertex-disjoint edges, or None."""
-    for i in range(h.m):
-        for j in range(i + 1, h.m):
-            if not set(h.edges[i]) & set(h.edges[j]):
-                return i, j
-    return None
-
-
 def naive_validate(h: Hypergraph, col: dict[int, int], lists=None) -> bool:
     masks = h.edge_masks
     for i in range(h.m):
@@ -346,6 +338,20 @@ def naive_closed_nbhd(h: Hypergraph, v: int) -> set[int]:
         if v in e:
             out.update(e)
     return out
+
+
+def naive_is_isomorphic(h1: Hypergraph, h2: Hypergraph) -> bool:
+    """Does some vertex permutation carry h1's edge multiset onto h2's?
+    Tries all n! permutations, so n is at most 8."""
+    if h1.n > 8:
+        raise ValueError("naive_is_isomorphic is limited to 8 vertices")
+    if h1.n != h2.n or h1.m != h2.m:
+        return False
+    target = sorted(tuple(sorted(e)) for e in h2.edges)
+    return any(
+        sorted(tuple(sorted(perm[v] for v in e)) for e in h1.edges) == target
+        for perm in permutations(range(h1.n))
+    )
 
 
 def naive_predicates(h: Hypergraph) -> tuple[bool, bool]:

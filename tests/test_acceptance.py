@@ -222,9 +222,6 @@ def test_06_matching_colouring_realization():
         k = h.m - len(matching.pairs)
         lists = uniform_lists(h, k)
         col = colour_from_matching(h, matching, lists)
-        if isinstance(col, ColouringFailure):
-            violations.append(f"seed {seed}: matching colouring failed: {col.detail}")
-            continue
         if len(set(col.values())) > k:
             violations.append(f"seed {seed}: used {len(set(col.values()))} > {k} colours")
         if not validate_colouring(h, col, lists).valid:

@@ -1,8 +1,6 @@
-"""Edge-count bound, Motzkin-style counting inequality, classification."""
+"""Edge-count bound and classification of its equality cases."""
 
 import random
-from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
@@ -15,7 +13,6 @@ from hyperchrom import (
     classify_extremal,
     debruijn_erdos_check,
     intersecting_bound,
-    motzkin_check,
     near_pencil,
     projective_plane,
     t_fold,
@@ -23,58 +20,6 @@ from hyperchrom import (
 from hyperchrom.characterize import _classify_on_support
 from hyperchrom.oracle import enumerate_hypergraphs
 from tests._naive import naive_classify_extremal, naive_classify_support
-
-
-class TestMotzkinCheck:
-    def test_perfect_matching_sums_to_zero(self):
-        out = motzkin_check(2, 2, [(0, 0), (1, 1)])
-        assert out["sum"] == 0
-        assert out["holds"] is True
-
-    def test_single_x_with_one_edge(self):
-        out = motzkin_check(1, 2, [(0, 0)])
-        assert out["sum"] == 1
-        assert out["holds"] is True
-
-    def test_fano_incidence(self, fano):
-        pairs = [(v, e) for e in range(7) for v in fano.edges[e]]
-        out = motzkin_check(7, 7, pairs)
-        assert out["sum"] == 0
-        assert out["holds"] is True
-
-    def test_no_edges_at_all(self):
-        out = motzkin_check(2, 3, [])
-        assert out["sum"] == 0
-        assert out["holds"] is True
-
-    def test_full_row_rejected(self):
-        with pytest.raises(ValueError, match="every vertex"):
-            motzkin_check(2, 2, [(0, 0), (0, 1)])
-
-    def test_empty_side_rejected(self):
-        with pytest.raises(ValueError):
-            motzkin_check(0, 3, [])
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            motzkin_check(2, 2, [(2, 0)])
-
-    def test_never_negative_on_random_bipartite_graphs(self):
-        import random
-
-        rng = random.Random(321)
-        for _ in range(50):
-            nx, ny = rng.randint(1, 6), rng.randint(2, 6)
-            pairs = {
-                (x, y)
-                for x in range(nx)
-                for y in range(ny)
-                if rng.random() < 0.4
-            }
-            if any(sum(1 for y in range(ny) if (x, y) in pairs) == ny for x in range(nx)):
-                continue
-            out = motzkin_check(nx, ny, pairs)
-            assert out["holds"] is True, (nx, ny, sorted(pairs))
 
 
 class TestIntersectingBound:

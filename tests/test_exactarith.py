@@ -10,7 +10,6 @@ from hyperchrom.exactarith import (
     at_least_scaled_sqrt,
     cmp_to_scaled_sqrt,
     fourth_root_enclosure,
-    sqrt_enclosure,
 )
 
 
@@ -26,30 +25,12 @@ def test_as_fraction_rejects_floats():
         as_fraction(0.3)
 
 
-def test_sqrt_enclosure_exact_cases():
-    assert sqrt_enclosure(Fraction(4)) == (2, 2)
-    assert sqrt_enclosure(Fraction(0)) == (0, 0)
-    assert sqrt_enclosure(Fraction(9, 4)) == (Fraction(3, 2), Fraction(3, 2))
-
-
-def test_sqrt_enclosure_brackets_irrationals():
-    lo, hi = sqrt_enclosure(Fraction(2))
-    assert lo < hi
-    assert lo * lo <= 2 <= hi * hi
-    assert hi - lo <= Fraction(2, ENCLOSURE_DEN)
-
-
 def test_fourth_root_enclosure():
     assert fourth_root_enclosure(Fraction(16)) == (2, 2)
     lo, hi = fourth_root_enclosure(Fraction(1, 2))
     assert lo < hi
     assert lo**4 <= Fraction(1, 2) <= hi**4
     assert hi - lo <= Fraction(2, ENCLOSURE_DEN)
-
-
-def test_sqrt_enclosure_rejects_negative():
-    with pytest.raises(ValueError):
-        sqrt_enclosure(Fraction(-1))
 
 
 def test_cmp_to_scaled_sqrt_exact_hits():
@@ -101,7 +82,5 @@ def test_cmp_matches_sign_case_analysis(s, c_num, c_den, n):
 @given(x_num=st.integers(min_value=0, max_value=10**6), x_den=st.integers(min_value=1, max_value=1000))
 def test_enclosures_always_bracket(x_num, x_den):
     x = Fraction(x_num, x_den)
-    lo, hi = sqrt_enclosure(x)
-    assert lo * lo <= x <= hi * hi
     lo4, hi4 = fourth_root_enclosure(x)
     assert lo4**4 <= x <= hi4**4

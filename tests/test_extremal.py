@@ -8,7 +8,6 @@ from hyperchrom import (
     ColouringFailure,
     ComplementMatching,
     Hypergraph,
-    UsefulFamily,
     colour_extremal,
     colour_from_matching,
     find_useful_family,
@@ -18,7 +17,6 @@ from hyperchrom import (
     projective_plane,
     t_fold,
     uniform_lists,
-    useful_cover_colour,
     validate_colouring,
 )
 from hyperchrom import extremal, oracle
@@ -26,7 +24,6 @@ from hyperchrom.hypercore import distinct_representatives
 
 from tests._naive import (
     naive_all_distinct,
-    naive_first_disjoint_pair,
     naive_list_colouring,
     naive_max_complement_matching_size,
     naive_predicates,
@@ -125,12 +122,6 @@ class TestMaximalComplementMatching:
         h = Hypergraph(4, [(0, 1), (2, 3)])
         assert maximal_complement_matching(h).pairs == ((0, 1),)
 
-    def test_first_disjoint_pair_matches_naive(self, fano, k4):
-        cases = [h for h, _t in make_corpus(20, base_seed=5100, n_range=(4, 9))]
-        cases += [fano, k4, Hypergraph(4, [(0, 1), (2, 3)]), Hypergraph(3, [])]
-        for h in cases:
-            assert extremal._first_disjoint_pair(h) == naive_first_disjoint_pair(h)
-
     def test_validate_rejects_bad_pairs(self, k4):
         with pytest.raises(ValueError):
             ComplementMatching(((0, 0),)).validate(k4)
@@ -180,58 +171,28 @@ class TestColourFromMatching:
             assert validate_colouring(h, col, lists=lists).valid
             assert len(set(col.values())) <= k
 
-
-class TestUsefulCoverColour:
-    def _instance(self):
-        # five edges on five vertices with e(H) = t*n and a single 1-useful
-        # designated pair (edges 2 and 4, meeting at vertex 1)
-        h = Hypergraph(5, [(0, 1, 2), (0, 3, 4), (1, 3), (2, 4), (1, 4)])
-        fam = UsefulFamily(edges=(2, 4), pair_witnesses=(1,))
-        return h, fam
-
-    def test_builds_matching_and_colours(self):
-        h, fam = self._instance()
-        lists = uniform_lists(h, 5)
-        col = useful_cover_colour(h, 1, fam, lists)
-        assert isinstance(col, dict)
-        assert validate_colouring(h, col, lists=lists).valid
-        # r = 0, so one pair is manufactured and e(H) - 1 colours suffice
-        assert len(set(col.values())) <= 4
-        assert col[2] == col[3]  # edge 3 misses edge 2; they share a class
-
-    def test_family_must_be_useful(self, fano):
-        fam = UsefulFamily(edges=(0, 1), pair_witnesses=(0,))
-        with pytest.raises(ValueError, match="useful"):
-            useful_cover_colour(fano, 1, fam, uniform_lists(fano, 7))
-
-    def test_family_length_checked(self):
-        h, _ = self._instance()
-        fam = UsefulFamily(edges=(0, 1, 2, 4), pair_witnesses=(0, 1))
-        with pytest.raises(ValueError, match="2 edges"):
-            useful_cover_colour(h, 1, fam, uniform_lists(h, 5))
-
-    def test_family_members_must_intersect(self):
-        h, _ = self._instance()
-        fam = UsefulFamily(edges=(2, 3), pair_witnesses=(0,))
-        with pytest.raises(ValueError, match="intersect"):
-            useful_cover_colour(h, 1, fam, uniform_lists(h, 5))
-
-    def test_duplicate_members_rejected(self):
-        h, _ = self._instance()
-        fam = UsefulFamily(edges=(2, 2), pair_witnesses=(1,))
-        with pytest.raises(ValueError, match="distinct"):
-            useful_cover_colour(h, 1, fam, uniform_lists(h, 5))
-
-    def test_needs_enough_edges(self, fano):
-        small = Hypergraph(7, fano.edges[:6])  # e(H) < t*n
-        fam = UsefulFamily(edges=(0, 1), pair_witnesses=(0,))
-        with pytest.raises(ValueError, match="e\\(H\\)"):
-            useful_cover_colour(small, 1, fam, uniform_lists(small, 7))
-
-    def test_needs_full_lists(self):
-        h, fam = self._instance()
-        with pytest.raises(ValueError, match="t\\*n colours"):
-            useful_cover_colour(h, 1, fam, uniform_lists(h, 4))
+    def test_deferred_pairs_always_get_distinct_colours(self):
+        # lists of exactly k = e(H) - |matching| colours from a pool of 2k,
+        # disjoint on every matched pair: all pairs defer, the k - |matching|
+        # leftover edges take one colour each, and Hall's condition promises
+        # the pairs' members two fresh colours apiece
+        rng = random.Random(8700)
+        cases = make_corpus(60, base_seed=8700, n_range=(4, 10), t_range=(1, 2))
+        deferred = 0
+        for h, _t in cases:
+            cm = maximal_complement_matching(h)
+            if not cm.pairs:
+                continue
+            k = h.m - cm.size
+            pool = rng.sample(SPARSE_COLOURS, 2 * k)
+            lists = {e: frozenset(rng.sample(pool, k)) for e in range(h.m)}
+            for a, b in cm.pairs:
+                lists[b] = frozenset(pool) - lists[a]
+            col = colour_from_matching(h, cm, lists)
+            assert naive_validate(h, col, lists)
+            assert len(set(col.values())) == k + cm.size
+            deferred += cm.size
+        assert deferred >= 100
 
 
 class TestFindUsefulFamily:
@@ -370,7 +331,9 @@ class TestColourExtremal:
         col, _report = colour_extremal(h, 1, {0: [9], 1: [9]})
         assert col == {0: 9, 1: 9}
 
-    def test_rung_two_shares_the_first_disjoint_pair(self):
+    def test_e_equals_tn_without_intersecting_goes_to_rung_four(self):
+        # at e = t*n a non-intersecting H has a disjoint pair, so lists of
+        # e - 1 colours meet rung 4's precondition and rung 4 colours it
         rng = random.Random(5500)
         seen = 0
         for h, _t in make_corpus(30, base_seed=5500, n_range=(4, 9)):
@@ -379,19 +342,34 @@ class TestColourExtremal:
             edges = list(h.edges)
             rng.shuffle(edges)
             g = Hypergraph(h.n, edges[: h.n])  # e(G) = t*n at t = 1
-            pair = naive_first_disjoint_pair(g)
-            if pair is None:
+            if naive_predicates(g)[1]:
                 continue
             lists = uniform_lists(g, g.m - 1)
             col, report = colour_extremal(g, 1, lists)
-            assert report.rung == "2: one disjoint pair (e = t*n)"
+            assert report.rung == "4: maximum complement matching"
+            assert report.attempts == ()
             assert naive_validate(g, col, lists)
-            classes: dict[int, list[int]] = {}
-            for e, c in col.items():
-                classes.setdefault(c, []).append(e)
-            assert [tuple(sorted(es)) for es in classes.values() if len(es) > 1] == [pair]
+            assert len(set(col.values())) == g.m - naive_max_complement_matching_size(g)
             seen += 1
         assert seen >= 5
+
+    @pytest.mark.parametrize("t", [1, 2])
+    @pytest.mark.parametrize("q", [3, 4, 5, 7, 8])
+    def test_planes_less_a_point_colour_at_rung_four(self, q, t):
+        # PG(2,q) with vertex n - 1 taken out of every line: e = t*n, and
+        # only the t(q + 1) copies of the lines through it miss each other,
+        # two copies of one line excepted, so a maximum complement matching
+        # has t(q + 1) // 2 pairs
+        plane = projective_plane(q)
+        n = plane.n
+        h = t_fold(Hypergraph(n, [[v for v in e if v != n - 1] for e in plane.edges]), t)
+        assert h.m == t * n and not naive_predicates(h)[1]
+        lists = uniform_lists(h, t * n)
+        col, report = colour_extremal(h, t, lists)
+        assert report.rung == "4: maximum complement matching"
+        assert naive_validate(h, col, lists)
+        assert report.matching_size == t * (q + 1) // 2
+        assert len(set(col.values())) == h.m - report.matching_size
 
     def test_fano_six_lists_proved_impossible(self, fano):
         # the seven lines pairwise meet, so rung 2's Hall violator is the proof

@@ -7,9 +7,7 @@ from hyperchrom import (
     GeneratorParams,
     Hypergraph,
     degree_stats,
-    from_cliques,
     is_isomorphic,
-    line_graph,
     near_pencil,
     predicates,
     projective_plane,
@@ -142,41 +140,6 @@ class TestTFold:
             sub, back = subhypergraph(h, ids)
             assert back == tuple(ids)
             assert_same_as_fresh(sub, [h.edges[i] for i in ids])
-
-
-class TestFromCliques:
-    def test_two_triangles_sharing_a_vertex(self):
-        # ground vertices 0..4, cliques {0,1,2} and {0,3,4} share vertex 0
-        h = from_cliques([(0, 1, 2), (0, 3, 4)])
-        assert h.n == 2 and h.m == 5
-        g = line_graph(h)
-        # expect two triangles glued at the edge corresponding to vertex 0
-        degs = sorted(g.adj[i].bit_count() for i in range(5))
-        assert degs == [2, 2, 2, 2, 4]
-
-    def test_single_clique(self):
-        h = from_cliques([(0, 1, 2, 3)])
-        assert h.n == 1 and h.m == 4
-        assert all(e == (0,) for e in h.edges)
-        g = line_graph(h)
-        assert g.edge_count() == 6  # complete graph on 4 edge ids
-
-    def test_disjoint_cliques_give_disjoint_line_graph(self):
-        h = from_cliques([(0, 1), (2, 3, 4)])
-        g = line_graph(h)
-        assert g.edge_count() == 1 + 3
-
-    def test_max_degree_is_largest_clique(self):
-        h = from_cliques([(0, 1, 2), (0, 3, 4), (1, 3)])
-        assert degree_stats(h).max_degree == 3
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            from_cliques([])
-        with pytest.raises(ValueError):
-            from_cliques([()])
-        with pytest.raises(ValueError):
-            from_cliques([(0, 2)])  # ground vertex 1 uncovered
 
 
 class TestRandomBoundedCodegree:
