@@ -297,6 +297,7 @@ def _cmd_color(args) -> int:
         "exact_budget": args.exact_budget,
     }
     if args.mode == "pipeline":
+        # loads ``oracle`` only for the ``exact`` stage, and never ``extremal``
         from .pipeline import PipelineParams, colour_main
 
         run = colour_main(

@@ -13,8 +13,6 @@ from math import isqrt
 
 ENCLOSURE_DEN = 10**6
 
-Rational = Fraction
-
 
 def as_fraction(x) -> Fraction:
     """Coerce an int/Fraction/str like ``"1/3"`` to an exact Fraction."""
@@ -23,17 +21,17 @@ def as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
-def fourth_root_enclosure(x: Fraction, den: int = ENCLOSURE_DEN) -> tuple[Fraction, Fraction]:
-    """Return rationals ``lo <= x**(1/4) <= hi`` with denominators <= den."""
+def fourth_root_enclosure(x: Fraction) -> tuple[Fraction, Fraction]:
+    """Return rationals ``lo <= x**(1/4) <= hi`` with denominators <= ENCLOSURE_DEN."""
     x = Fraction(x)
     if x < 0:
         raise ValueError("fourth root of negative rational")
-    m, rem = divmod(x.numerator * den**4, x.denominator)
+    m, rem = divmod(x.numerator * ENCLOSURE_DEN**4, x.denominator)
     r = isqrt(isqrt(m))  # floor of the integer fourth root
-    lo = Fraction(r, den)
+    lo = Fraction(r, ENCLOSURE_DEN)
     if rem == 0 and r**4 == m:
         return lo, lo
-    return lo, Fraction(r + 1, den)
+    return lo, Fraction(r + 1, ENCLOSURE_DEN)
 
 
 def cmp_to_scaled_sqrt(s, c, n: int) -> int:

@@ -26,7 +26,6 @@ from .hypercore import (
     ListMasks,
     edge_list_masks,
     list_masks,
-    mask_bits,
     volume,
 )
 
@@ -41,7 +40,6 @@ __all__ = [
     "partition_extremal",
     "R1_DEFAULT",
     "default_r0",
-    "forbidden_colours",
     "greedy_extend",
     "greedy_list_colour",
 ]
@@ -59,9 +57,6 @@ class EdgeOrdering:
 
     def position(self) -> dict[int, int]:
         return {e: i for i, e in enumerate(self.perm)}
-
-    def __len__(self) -> int:
-        return len(self.perm)
 
 
 @dataclass(frozen=True)
@@ -367,15 +362,14 @@ def partition_extremal(
     delta,
     gamma,
     r0: int,
-    sigma=None,
     edge_ids: Iterable[int] | None = None,
 ) -> PartitionCertificate:
     """Three-part splice H3 < H2 < H1 for the near-extremal pipeline.
 
     First reorder at (1-gamma, gamma^-2): in case A everything is H1 (small
     forward degrees).  Otherwise the tail after e* is H1 and the prefix is
-    reordered again at (sigma, 1), its own case-B prefix becoming H3 and the
-    rest H2.  Flags: P'1 every edge of size <= r0 lies in H1, P'2 all H3
+    reordered again at (delta/4, 1), its own case-B prefix becoming H3 and
+    the rest H2.  Flags: P'1 every edge of size <= r0 lies in H1, P'2 all H3
     edges have size >= (1-2*delta)*sqrt(n), FD'1 forward degree <= t*n - 2
     on H2, FD'2 forward degree <= gamma*t*n on H1, FD'3 the splice order.
     With ``edge_ids`` only those edges of H are partitioned (and P'1 scans
@@ -389,9 +383,6 @@ def partition_extremal(
         raise ValueError("gamma must lie in (0, 1)")
     if r0 < 0:
         raise ValueError("r0 must be non-negative")
-    sigma = delta / 4 if sigma is None else as_fraction(sigma)
-    if not 0 < sigma < 1:
-        raise ValueError("sigma must lie in (0, 1)")
 
     ids = range(h.m) if edge_ids is None else tuple(edge_ids)
     outer = reorder(h, t, 1 - gamma, 1 / gamma**2, edge_ids=ids)
@@ -400,7 +391,7 @@ def partition_extremal(
     h3: tuple[int, ...] = ()
     h2: tuple[int, ...] = ()
     if outer.case == "B":
-        inner = reorder(h, t, sigma, 1, edge_ids=head)
+        inner = reorder(h, t, delta / 4, 1, edge_ids=head)
         notes["inner_case"] = inner.case
         h3, h2 = _split(inner)
 
@@ -439,29 +430,6 @@ def vertex_palettes(
             for v in edges[f]:
                 palette[v] |= bit
     return palette
-
-
-def forbidden_colours(
-    h: Hypergraph, edge_ids: Iterable[int], col: Mapping[int, int]
-) -> dict[int, set[int]]:
-    """For each edge of ``edge_ids`` (none of them in ``col``), the colours
-    ``col`` gives the edges that meet it.
-
-    Two edges meet exactly when they share a vertex, so this is the OR of
-    the edge's vertex palettes; the pipeline builds its forbidden-colour
-    maps this way.
-    """
-    colours = sorted(set(col.values()))
-    palette = vertex_palettes(h, col, {c: i for i, c in enumerate(colours)})
-    out = {}
-    for e in edge_ids:
-        taken = 0
-        for v in h.edges[e]:
-            taken |= palette[v]
-        # most edges meet no coloured edge; skipping the decode for them
-        # halves this function's time
-        out[e] = {colours[i] for i in mask_bits(taken)} if taken else set()
-    return out
 
 
 def _nth_bit(mask: int, k: int) -> int:

@@ -2,12 +2,12 @@
 
 Two entry points.  ``colour_main``, the default ``color``, answers
 intersecting instances exactly with one matching; on the others it runs one
-staged script around ``partition_extremal`` and the extremal ladder, then
-the exact solver on tiny instances.  ``colour_stability`` is a library
-entry that no ladder calls: it splits edges by size, reserves a random
-colour block R, partitions the large edges into H2 < W < H1 and colours W
-from the unreserved colours, H2 from R, H1 greedily, then the medium edges
-from R and the small ones from the rest.
+staged script around ``partition_extremal`` and the greedy, then the exact
+solver on tiny instances.  ``colour_stability`` is a library entry that no
+ladder calls: it splits edges by size, reserves a random colour block R,
+partitions the large edges into H2 < W < H1 and colours W from the
+unreserved colours, H2 from R, H1 greedily, then the medium edges from R
+and the small ones from the rest.
 
 The staged script is only guaranteed to work out at astronomically large n;
 at usable sizes any stage may fail, so every run carries a stage-by-stage
@@ -39,10 +39,10 @@ from .hypercore import (
 from .ordering import (
     R1_DEFAULT,
     default_r0,
-    forbidden_colours,
     greedy_extend,
     partition_extremal,
     partition_stability,
+    vertex_palettes,
 )
 
 __all__ = [
@@ -204,28 +204,37 @@ def colour_small(
     h: Hypergraph,
     edge_ids: Iterable[int],
     lists: Mapping[int, Iterable[int]] | ListMasks,
-    forbidden: Mapping[int, Iterable[int]] | None = None,
+    coloured: Mapping[int, int] | None = None,
     *,
     seed: int = 0,
 ) -> dict[int, int] | ColouringFailure:
-    """Colour a block of (typically small) edges from lists minus forbidden.
+    """Colour a block of (typically small) edges from lists, avoiding the
+    colours ``coloured`` (edge -> colour, none of them in the block) gives
+    the edges that meet each one.
 
-    ``_SMALL_PASSES`` seeded random-order greedy passes with random colour
-    picks, then one deterministic pass by descending line-graph degree.
-    Stands in for the semi-random nibble, which has nothing to say at this
-    scale.  Before any pass, a vertex whose block edges outnumber the
-    colours left to them (``star_pigeonhole``) ends the call: its failure
-    carries that Hall violator's detail (``Hall violator: k edges, c
-    colours``) and the lowest edge id of its star.
+    Those colours are the OR of the edge's vertex palettes
+    (``ordering.vertex_palettes``, in the lists' own numbering), cleared
+    from its mask before any pass; a mask left empty ends the call ("list
+    emptied by forbidden colours").  Then ``_SMALL_PASSES`` seeded
+    random-order greedy passes with random colour picks, and one
+    deterministic pass by descending line-graph degree.  Stands in for the
+    semi-random nibble, which has nothing to say at this scale.  Before any
+    pass, a vertex whose block edges outnumber the colours left to them
+    (``star_pigeonhole``) ends the call: its failure carries that Hall
+    violator's detail (``Hall violator: k edges, c colours``) and the lowest
+    edge id of its star.
     """
     ids = list(edge_ids)
-    forbidden = forbidden or {}
     lm = list_masks(lists, ids)
-    masks = {}
+    palette = vertex_palettes(h, coloured, lm.position) if coloured else None
+    edges, masks = h.edges, {}
     for e in ids:
-        cs, banned = lm.masks[e], forbidden.get(e)
-        if banned:
-            cs &= ~lm.mask(banned)
+        cs = lm.masks[e]
+        if palette is not None:
+            taken = 0
+            for v in edges[e]:
+                taken |= palette[v]
+            cs &= ~taken
         if not cs:
             return ColouringFailure(
                 "small", stuck_edge=e, detail="list emptied by forbidden colours"
@@ -402,7 +411,7 @@ def _run_script(
             h,
             split.sml,
             _restrict(lm, split.sml, ~reserved),
-            forbidden_colours(h, split.sml, lrg_col) if lrg_col else None,
+            lrg_col,
             seed=params.seed + sml_seed,
         )
         if isinstance(got, ColouringFailure):
@@ -489,7 +498,7 @@ def _stability_middle(
         h,
         split.med,
         _restrict(lm, split.med, reserved),
-        forbidden_colours(h, split.med, col) if col else None,
+        col,
         seed=params.seed + 1,
     )
     if isinstance(got, ColouringFailure):
@@ -511,9 +520,9 @@ def colour_main(
     near-pencils) skips the ladder: see ``_colour_intersecting``.  The main
     script, whose stages are prefixed ``main:``, reserves a block R with
     probability 2*gamma, gives medium edges C∩R and large edges their full
-    lists, partitions med∪lrg into H3 < H2 < H1, colours H3 by the extremal
-    ladder and the rest greedily, then the small edges from C\\R.  If it
-    fails, ``exact`` searches for a colouring when e(H) <= exact_budget.
+    lists, partitions med∪lrg into H3 < H2 < H1 and colours it greedily in
+    that order (H3 in the ``H2`` stage), then the small edges from C\\R.  If
+    it fails, ``exact`` searches for a colouring when e(H) <= exact_budget.
     """
     if t < 1:
         raise ValueError("t must be positive")
@@ -584,8 +593,8 @@ def _extremal_middle(
     s: _Script, split: SizeSplit, reserved: int, col: dict[int, int]
 ) -> ColouringFailure | None:
     """Medium edges keep C∩R and large edges their full lists; med∪lrg is
-    partitioned into H3 < H2 < H1, H3 coloured by the extremal ladder and
-    H2, H1 greedily."""
+    partitioned into H3 < H2 < H1 and coloured greedily in that order, H3
+    inside the ``H2`` stage."""
     mid_large = tuple(sorted(split.med + split.lrg))
     if not mid_large:
         return None
@@ -597,28 +606,9 @@ def _extremal_middle(
     part = _partition(
         s, "partition", mid_large, partition_extremal, params.delta, params.gamma, split.r0
     )
-    if part["H3"]:
-        from .extremal import colour_extremal
-
-        sub3, ids3 = subhypergraph(h, part["H3"])
-        got, rep = colour_extremal(
-            sub3,
-            s.t,
-            residual._replace(masks=dict(enumerate(residual.masks[e] for e in ids3))),
-            delta=params.delta,
-            exact_budget=params.exact_budget,
-        )
-        if isinstance(got, ColouringFailure):
-            return s.fail("H3", got.detail, got.stuck_edge)
-        col.update({ids3[i]: c for i, c in got.items()})
-        s.record(
-            "H3", "ok", f"extremal rung: {rep.rung}", colours_used=len(set(got.values()))
-        )
-    else:
-        s.record("H3", "skipped", "empty part")
-    for name in ("H2", "H1"):
-        stuck = greedy_extend(h, part[name], residual, col)
+    for name, edges in (("H2", part["H3"] + part["H2"]), ("H1", part["H1"])):
+        stuck = greedy_extend(h, edges, residual, col)
         if stuck is not None:
             return s.fail(name, "list exhausted", stuck)
-        s.record(name, "ok", f"{len(part[name])} edges")
+        s.record(name, "ok", f"{len(edges)} edges")
     return None

@@ -58,7 +58,9 @@ KEEP = {
     "characterize.debruijn_erdos_check": _ITEM_1,
     "oracle.enumerate_hypergraphs": "isomorph-free enumeration, ROADMAP item 10",
     "oracle.kernel_name": "the benchmark's environment stamp, read after its ops",
-    "hypercore.subhypergraph": "the H3 stage, which only perturbed planes reach",
+    "hypercore.subhypergraph": (
+        "called only by colour_sparse_block, which tracing wraps; goes with item 1"
+    ),
     "pipeline.PipelineRun.ok": "bench_e2e/tracing.py reads it to count failed colour_main calls",
 }
 

@@ -14,7 +14,13 @@ from pathlib import Path
 import pytest
 
 import hyperchrom
-from hyperchrom import GeneratorParams, Hypergraph, random_bounded_codegree
+from hyperchrom import (
+    GeneratorParams,
+    Hypergraph,
+    projective_plane,
+    random_bounded_codegree,
+    t_fold,
+)
 from hyperchrom.hypercore import list_masks
 
 FANO_LINES = tuple(
@@ -57,6 +63,31 @@ def make_corpus(count, base_seed, n_range=(5, 14), t_range=(1, 3), size_hi=4):
         )
         out.append((h, t))
     return out
+
+
+def perturbed_plane(form: str, q: int, t: int) -> Hypergraph:
+    """A t-fold PG(2, q) perturbed so that it is no longer intersecting, and
+    ``colour_main`` runs its staged script on it: ``del`` deletes vertex
+    n - 1 from every line, ``add`` adds an edge on two new vertices, ``pt``
+    adds the size-one edge (0,)."""
+    plane = t_fold(projective_plane(q), t)
+    n = plane.n
+    if form == "del":
+        return Hypergraph(n - 1, [tuple(v for v in e if v != n - 1) for e in plane.edges])
+    if form == "add":
+        return Hypergraph(n + 2, [*plane.edges, (n, n + 1)])
+    assert form == "pt", form
+    return Hypergraph(n, [*plane.edges, (0,)])
+
+
+PERTURBED_FORMS = [
+    (form, q, t) for form in ("del", "add", "pt") for q in (3, 4, 5, 7, 8) for t in (1, 2)
+]
+
+# the (q, t) whose plane-plus-point puts the lines in H3 at the pipeline's
+# partition parameters; at t = 1 and q in {4, 5} H3 is empty, and at q = 3
+# every edge is small
+H3_CASES = [(4, 2), (5, 2), (7, 1), (7, 2), (8, 1), (8, 2)]
 
 
 # colour ids for lists that are neither dense nor non-negative

@@ -17,7 +17,7 @@ from hyperchrom import (
 from hyperchrom import cli
 from hyperchrom.cli import build_parser, format_hg, main, parse_hg
 from tests._naive import naive_validate
-from tests.conftest import fresh_process, make_corpus
+from tests.conftest import fresh_process, make_corpus, perturbed_plane
 
 
 def _write(tmp_path, name, h):
@@ -659,6 +659,14 @@ class TestImports:
             (["order", "--in", "{hg}", "--t", "1", "--partition", "stability"], "exactarith ordering"),
             (["order", "--in", "{hg}", "--t", "1", "--partition", "extremal"], "exactarith ordering"),
             (["color", "--in", "{hg}", "--t", "1", "--lists", "uniform:3"], "exactarith ordering pipeline"),
+            # the 2-fold PG(2,4) plus the edge (0,): its lines reach H3, which
+            # the main script colours greedily; it fails at the default r0,
+            # with ``exact`` skipped, and colours at r0 = 4
+            (["color", "--in", "{pp}", "--t", "2", "--lists", "uniform:42"], "exactarith ordering pipeline"),
+            (
+                ["color", "--in", "{pp}", "--t", "2", "--lists", "uniform:42", "--r0", "4"],
+                "exactarith ordering pipeline",
+            ),
             (
                 ["color", "--in", "{hg}", "--t", "1", "--lists", "uniform:3", "--mode", "extremal"],
                 "_matching exactarith extremal",
@@ -673,11 +681,14 @@ class TestImports:
             "order-stability",
             "order-extremal",
             "color",
+            "color-h3",
+            "color-h3-r0-4",
             "color-extremal",
         ],
     )
     def test_subcommand_loads_only_its_modules(self, tmp_path, triangle, argv, loaded):
         hg = _write(tmp_path, "tri.hg", triangle)
+        pp = _write(tmp_path, "pp.hg", perturbed_plane("pt", 4, 2))
         probe = (
             "import contextlib, io, sys\n"
             "from hyperchrom.cli import main\n"
@@ -687,4 +698,4 @@ class TestImports:
             "print(' '.join(sorted(m.split('.', 1)[1] for m in set(sys.modules) - before"
             " if m.startswith('hyperchrom.'))))"
         )
-        assert fresh_process(probe, *(a.format(hg=hg) for a in argv)) == loaded
+        assert fresh_process(probe, *(a.format(hg=hg, pp=pp) for a in argv)) == loaded

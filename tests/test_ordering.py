@@ -21,18 +21,17 @@ from hyperchrom import (
 )
 from hyperchrom.exactarith import fourth_root_enclosure
 from hyperchrom.hypercore import subhypergraph
-from hyperchrom.ordering import _nth_bit, forbidden_colours, greedy_extend
+from hyperchrom.ordering import _nth_bit, default_r0, greedy_extend
 from hyperchrom.pipeline import PipelineParams, split_by_size
 
 from tests._naive import (
-    naive_forbidden_colours,
     naive_forward_degrees,
     naive_greedy_colour,
     naive_greedy_extend,
     naive_reorder,
     naive_volume,
 )
-from tests.conftest import make_corpus
+from tests.conftest import H3_CASES, make_corpus, perturbed_plane
 
 
 class TestSizeMonotoneOrdering:
@@ -337,22 +336,30 @@ class TestPartitionExtremal:
         assert cert.property_flags["FD'1"] is False
         assert cert.property_flags["P'1"] is True
 
-    def test_inner_sigma_exposed(self, fano):
-        h = t_fold(fano, 2)
-        cert = partition_extremal(
-            h, 2, Fraction(1, 10), Fraction(1, 4), 2, sigma=Fraction(9, 10)
-        )
-        # a huge inner sigma collapses the inner bound, leaving a non-empty H3
+    @pytest.mark.parametrize("q, t", H3_CASES)
+    def test_plane_plus_point_fills_h3(self, q, t):
+        # every line meets t*n - 1 others, above the inner bound
+        # t*(1 - delta/4)*n, so the inner reorder sticks on the lines: H3 is
+        # all of them, and the point edge, retired first, is all of H2 ∪ H1
+        h = perturbed_plane("pt", q, t)
+        delta, gamma, r0 = Fraction(1, 10), Fraction(1, 8), default_r0(h.n)
+        cert = partition_extremal(h, t, delta, gamma, r0)
         assert cert.notes["inner_case"] == "B"
-        assert cert.parts["H3"] != ()
-        assert cert.property_flags == _extremal_flags(
-            h, 2, Fraction(1, 10), Fraction(1, 4), 2, cert
-        )
+        assert sorted(cert.parts["H3"]) == list(range(h.m - 1))
+        assert cert.parts["H2"] + cert.parts["H1"] == (h.m - 1,)
+        assert cert.property_flags == _extremal_flags(h, t, delta, gamma, r0, cert)
 
-    def test_p2_witness_is_first_short_h3_edge(self, corpus):
+    def test_p2_witness_is_first_short_h3_edge(self):
+        # the planes' lines are never short; a t-fold near-pencil's spokes
+        # (size 2) are, and on enough points they stick in H3 too
+        cases = [(perturbed_plane("pt", q, t), t) for q, t in H3_CASES]
+        for n, t in ((21, 2), (25, 2), (41, 1), (45, 1)):
+            pencil = t_fold(near_pencil(n), t)
+            cases.append((Hypergraph(n, [*pencil.edges, (0,)]), t))
         delta, short_seen = Fraction(1, 10), 0
-        for h, t in corpus:
-            cert = partition_extremal(h, t, delta, Fraction(1, 4), 2, sigma=Fraction(9, 10))
+        for h, t in cases:
+            cert = partition_extremal(h, t, delta, Fraction(1, 4), 2)
+            assert cert.parts["H3"]
             short = [
                 e
                 for e in cert.parts["H3"]
@@ -360,7 +367,7 @@ class TestPartitionExtremal:
             ]
             assert cert.witness.get("P'2") == (short[0] if short else None)
             short_seen += bool(short)
-        assert short_seen >= 3
+        assert short_seen == 4
 
     def test_parameter_domain(self, fano):
         with pytest.raises(ValueError):
@@ -369,8 +376,6 @@ class TestPartitionExtremal:
             partition_extremal(fano, 1, Fraction(1, 10), 1, 2)
         with pytest.raises(ValueError):
             partition_extremal(fano, 1, Fraction(1, 10), Fraction(1, 4), -1)
-        with pytest.raises(ValueError):
-            partition_extremal(fano, 1, Fraction(1, 10), Fraction(1, 4), 2, sigma=1)
 
     def test_flags_match_recomputation_on_corpus(self, corpus):
         for h, t in corpus[:14]:
@@ -574,21 +579,3 @@ class TestGreedyExtend:
                 assert got == col
             else:
                 assert isinstance(got, ColouringFailure) and got.stuck_edge == stuck
-
-
-class TestForbiddenColours:
-    def test_matches_row_scan_on_corpus(self, corpus):
-        rng = random.Random(7600)
-        for h, _t in corpus:
-            ids = list(range(h.m))
-            rng.shuffle(ids)
-            cut = rng.randint(0, h.m)
-            # colours reach below zero and repeat across edges
-            col = {f: rng.randint(-3, 5) for f in ids[:cut]}
-            assert forbidden_colours(h, ids[cut:], col) == naive_forbidden_colours(
-                h, ids[cut:], col
-            )
-
-    def test_parallel_copies_forbid_each_other(self):
-        h = Hypergraph(3, [(0, 1), (0, 1), (2,)])
-        assert forbidden_colours(h, [1, 2], {0: 4}) == {1: {4}, 2: set()}

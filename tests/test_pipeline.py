@@ -2,7 +2,6 @@
 
 import math
 import random
-import re
 from fractions import Fraction
 
 import pytest
@@ -38,7 +37,7 @@ from tests._naive import (
     naive_reserve_colours,
     naive_validate,
 )
-from tests.conftest import make_corpus
+from tests.conftest import H3_CASES, PERTURBED_FORMS, make_corpus, perturbed_plane
 
 
 class TestSplitBySize:
@@ -227,16 +226,48 @@ class TestColourSmall:
         assert isinstance(out, ColouringFailure)
         assert out.stage == "small"
 
-    def test_forbidden_colours_respected(self, triangle):
+    def test_forbidden_colours_respected(self):
+        # a triangle whose edge 0 alone meets three coloured edges, at vertex 3
+        h = Hypergraph(6, [(0, 1, 3), (1, 2, 4), (0, 2, 5), (3,), (3,), (3,)])
         lists = {e: [0, 1, 2, 3] for e in range(3)}
-        col = colour_small(triangle, range(3), lists, {0: [0, 1, 2]})
+        col = colour_small(h, range(3), lists, {3: 0, 4: 1, 5: 2})
         assert col[0] == 3
 
     def test_forbidden_can_empty_a_list(self, triangle):
-        out = colour_small(triangle, range(3), {e: [0] for e in range(3)}, {1: [0]})
+        # edge 3 meets edges 1 and 2 and takes their one colour; 1 comes first
+        h = Hypergraph(4, [*triangle.edges, (2, 3)])
+        out = colour_small(h, range(3), {e: [0] for e in range(3)}, {3: 0})
         assert isinstance(out, ColouringFailure)
         assert out.stuck_edge == 1
-        assert "forbidden" in out.detail
+        assert out.detail == "list emptied by forbidden colours"
+
+    def test_coloured_edges_match_a_row_scan_on_corpus(self, corpus):
+        # colour_small with ``coloured`` is colour_small on the lists minus
+        # the colours of the coloured edges each block edge meets, those
+        # found by scanning every coloured edge
+        rng = random.Random(7600)
+        seen = set()
+        for h, _t in corpus:
+            ids = list(range(h.m))
+            rng.shuffle(ids)
+            cut = rng.randint(0, h.m)
+            # colours reach below zero and repeat across edges
+            col = {f: rng.randint(-3, 5) for f in ids[:cut]}
+            block = ids[cut:]
+            lists = {e: rng.sample(range(-3, 8), rng.randint(1, 8)) for e in block}
+            banned = naive_forbidden_colours(h, block, col)
+            seed = rng.randrange(100)
+            got = colour_small(h, block, lists, col, seed=seed)
+            want = colour_small(
+                h, block, {e: set(lists[e]) - banned[e] for e in block}, seed=seed
+            )
+            assert got == want
+            seen.add(got.detail if isinstance(got, ColouringFailure) else "coloured")
+        assert {"coloured", "list emptied by forbidden colours"} <= seen, seen
+
+    def test_parallel_copies_forbid_each_other(self):
+        h = Hypergraph(3, [(0, 1), (0, 1), (2,)])
+        assert colour_small(h, [1, 2], {1: [4, 5], 2: [4]}, {0: 4}) == {1: 5, 2: 4}
 
     def test_pigeonhole_star_fails_before_any_sweep(self, monkeypatch):
         # k + 1 edges through vertex 0, every list the same k colours
@@ -365,8 +396,8 @@ class TestColourStability:
         split = split_by_size(h, 4, 2)
         real, med_colours = pipeline.colour_small, []
 
-        def collide(h, edge_ids, lists, forbidden=None, *, seed=0):
-            got = real(h, edge_ids, lists, forbidden, seed=seed)
+        def collide(h, edge_ids, lists, coloured=None, *, seed=0):
+            got = real(h, edge_ids, lists, coloured, seed=seed)
             if tuple(edge_ids) == split.med:
                 med_colours.extend(got.values())
             elif tuple(edge_ids) == split.sml:
@@ -423,7 +454,6 @@ class TestColourMain:
             ("main:split", "ok"),
             ("main:reserve", "ok"),
             ("main:partition", "ok"),
-            ("main:H3", "skipped"),
             ("main:H2", "ok"),
             ("main:H1", "ok"),
             ("main:sml", "failed"),
@@ -458,7 +488,6 @@ class TestColourMain:
             ("main:split", "ok"),
             ("main:reserve", "ok"),
             ("main:partition", "ok"),
-            ("main:H3", "skipped"),
             ("main:H2", "ok"),
             ("main:H1", "ok"),
             ("main:sml", "skipped"),
@@ -475,7 +504,6 @@ class TestColourMain:
             ("main:split", "ok"),
             ("main:reserve", "ok"),
             ("main:partition", "ok"),
-            ("main:H3", "skipped"),
             ("main:H2", "ok"),
             ("main:H1", "ok"),
             ("main:sml", "ok"),
@@ -583,63 +611,96 @@ class TestColourMain:
             colour_main(fano, 0, uniform_lists(fano, 7))
 
 
-def _plane_with_a_point_edge(q: int, t: int) -> Hypergraph:
-    """A t-fold PG(2, q) plus the size-one edge (0,): no longer intersecting,
-    so ``colour_main`` runs the main script on it."""
-    plane = t_fold(projective_plane(q), t)
-    return Hypergraph(plane.n, [*plane.edges, (0,)])
-
-
-# the (q, t) whose partition puts edges in H3; at t = 1 and q in {4, 5}
-# H3 is empty
-_H3_CASES = [(4, 2), (5, 2), (7, 1), (7, 2), (8, 1), (8, 2)]
-
-
 class TestH3Route:
-    """The plane's lines are the large edges that reach H3, where the
-    extremal ladder colours them, all distinct, from their tn lists."""
+    """The plane-plus-point instances, whose lines are the edges that reach
+    H3; the ``H2`` stage colours them greedily, first, from their residual
+    lists."""
 
-    @pytest.mark.parametrize("q, t", _H3_CASES)
+    @pytest.mark.parametrize("q, t", H3_CASES)
     def test_default_r0_stops_at_a_hall_violator(self, q, t):
-        h = _plane_with_a_point_edge(q, t)
-        run = colour_main(h, t, uniform_lists(h, t * h.n))
+        # the lines are medium edges and keep only the reserved colours R,
+        # so the greedy runs out
+        h = perturbed_plane("pt", q, t)
+        lists = uniform_lists(h, t * h.n)
+        params = PipelineParams()
+        run = colour_main(h, t, lists, params)
         assert not run.ok
-        stages = {s.stage: s for s in run.stages}
-        h3 = stages["main:H3"]
-        assert h3.status == "failed"
-        counts = re.fullmatch(r"Hall violator: (\d+) edges, (\d+) colours", h3.detail)
-        assert int(counts[1]) > int(counts[2])
-        assert stages["exact"].status == "skipped"
+        assert _stage_list(run) == [
+            ("main:split", "ok"),
+            ("main:reserve", "ok"),
+            ("main:partition", "ok"),
+            ("main:H2", "failed"),
+            ("exact", "skipped"),
+        ]
+        assert run.stages[3].detail == "list exhausted"
+        # the lines pairwise meet, so they need distinct colours, and they
+        # outnumber R: any |R| + 1 of them are a Hall violator
+        reserved, _ = naive_reserve_colours(lists, 2 * params.gamma, params.gamma / 2, 0)
+        lines = list(range(h.m - 1))
+        assert all(set(h.edges[a]) & set(h.edges[b]) for a in lines for b in lines)
+        violator = lines[: len(reserved) + 1]
+        assert naive_is_hall_violator({e: reserved for e in lines}, lines, violator)
 
-    @pytest.mark.parametrize("q, t", _H3_CASES)
-    def test_r0_four_colours_at_rung_two(self, q, t):
-        h = _plane_with_a_point_edge(q, t)
+    @pytest.mark.parametrize("q, t", H3_CASES)
+    def test_r0_four_colours_in_the_h2_stage(self, q, t):
+        # the lines are large edges with their full tn lists
+        h = perturbed_plane("pt", q, t)
         lists = uniform_lists(h, t * h.n)
         run = colour_main(h, t, lists, PipelineParams(r0=4))
         assert run.ok
         assert naive_validate(h, run.outcome, lists)
-        assert validate_colouring(h, run.outcome, lists=lists).valid
-        h3 = next(s for s in run.stages if s.stage == "main:H3")
-        assert h3.status == "ok"
-        assert h3.detail.startswith("extremal rung: 2: ")
+        assert _stage_list(run) == [
+            ("main:split", "ok"),
+            ("main:reserve", "ok"),
+            ("main:partition", "ok"),
+            ("main:H2", "ok"),
+            ("main:H1", "ok"),
+            ("main:sml", "ok"),
+            ("main:validate", "ok"),
+        ]
+        # the H2 stage counts H3's edges, every line, with its own
+        assert run.stages[3].detail == f"{h.m - 1} edges"
+
+
+class TestPerturbedPlanes:
+    """The 30 perturbed t-fold planes (``conftest.perturbed_plane``) with tn
+    lists: at the default r0 only the q = 3 ones colour, every edge small;
+    the others stop at ``main:H2`` with ``exact`` skipped.  At r0 = 4 all 30
+    colour."""
+
+    @pytest.mark.parametrize("form, q, t", PERTURBED_FORMS)
+    def test_outcomes(self, form, q, t):
+        h = perturbed_plane(form, q, t)
+        lists = uniform_lists(h, t * h.n)
+        run = colour_main(h, t, lists)
+        assert run.ok == (q == 3)
+        if run.ok:
+            assert naive_validate(h, run.outcome, lists)
+        else:
+            assert [s.stage for s in run.stages if s.status == "failed"] == ["main:H2"]
+            assert _stage_map(run)["exact"] == "skipped"
+        run = colour_main(h, t, lists, PipelineParams(r0=4))
+        assert run.ok
+        assert naive_validate(h, run.outcome, lists)
 
 
 class TestForbiddenMaps:
     def test_maps_are_large_edge_colours_of_a_row_scan(self, monkeypatch):
-        # the sml map of both scripts and the stability script's med map: for
-        # each edge, the colours of the large edges that meet it, all of them
-        # coloured by then; with no large edge coloured no map is built
-        real, calls = pipeline.forbidden_colours, []
+        # the sml block of both scripts and the stability script's med block
+        # avoid the colours of the large edges that meet them, all of them
+        # coloured by then: colour_small gets exactly those edges, and its
+        # answer is the one for lists cut down by a scan of every such edge
+        real, calls = pipeline.colour_small, []
 
-        def spy(h, edge_ids, col):
-            got = real(h, edge_ids, col)
-            calls.append((h, split, tuple(edge_ids), dict(col), got))
+        def spy(h, edge_ids, lists, coloured=None, *, seed=0):
+            got = real(h, edge_ids, lists, coloured, seed=seed)
+            calls.append((h, split, tuple(edge_ids), lists, dict(coloured), seed, got))
             return got
 
-        monkeypatch.setattr(pipeline, "forbidden_colours", spy)
+        monkeypatch.setattr(pipeline, "colour_small", spy)
         corpus = make_corpus(12, base_seed=6300, n_range=(6, 12), t_range=(1, 2), size_hi=6)
-        # a medium and a small edge that meet no large edge, so that both maps
-        # hold edges with nothing forbidden
+        # a medium and a small edge that meet no large edge, so that both
+        # blocks hold edges with nothing forbidden
         apart = Hypergraph(14, [tuple(range(6)), (0, 6, 7), (8, 9, 10), (1, 8), (11, 12)])
         for h, t in [*corpus, (apart, 1)]:
             for r0, r1 in ((2, 2), (3, 2), (4, 3), (None, 4)):
@@ -649,9 +710,11 @@ class TestForbiddenMaps:
                     colour_main(h, t, uniform_lists(h, k), params)
                     colour_stability(h, t, uniform_lists(h, k), params)
         kinds = set()
-        for h, split, ids, col, got in calls:
-            assert got == naive_forbidden_colours(h, ids, col)
-            assert col and set(col) == set(split.lrg)
+        for h, split, ids, lists, col, seed, got in calls:
+            assert set(col) == set(split.lrg)
             assert ids in (split.sml, split.med)
-            kinds.update((ids == split.sml, bool(cs)) for cs in got.values())
+            banned = naive_forbidden_colours(h, ids, col)
+            cut = {e: lists.decode(lists.masks[e]) - banned[e] for e in ids}
+            assert got == real(h, ids, cut, seed=seed)
+            kinds.update((ids == split.sml, bool(cs)) for cs in banned.values())
         assert kinds == {(True, True), (False, True), (True, False), (False, False)}
