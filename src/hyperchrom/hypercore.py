@@ -437,24 +437,25 @@ def edge_list_masks(h: Hypergraph, lists: Mapping[int, Iterable[int]] | ListMask
 
 
 def star_pigeonhole(
-    h: Hypergraph, lists: Mapping[int, Iterable[int]] | ListMasks, block_mask: int
+    h: Hypergraph, lists: Mapping[int, Iterable[int]] | ListMasks, edge_ids: Iterable[int]
 ) -> HallViolator | None:
     """The star of the lowest vertex with more edges than colours, as a
     ``HallViolator``, or None.
 
-    The edges of the block (the edge ids set in ``block_mask``) through one
-    vertex pairwise intersect, so a proper colouring of the block from
-    ``lists`` gives them distinct colours.  When the union of their lists
-    holds fewer colours than there are edges, no such colouring exists:
-    the star (edge ids ascending) and that union are a Hall violator.  The
-    union is an OR of list masks and its size a popcount; a star's edges
-    are only listed when it has more edges than the shortest list of the
-    block, so the check costs O(n + sum |e|) when it cannot fire.
+    The edges of the block ``edge_ids`` through one vertex pairwise
+    intersect, so a proper colouring of the block from ``lists`` gives them
+    distinct colours.  When the union of their lists holds fewer colours
+    than there are edges, no such colouring exists: the star (edge ids
+    ascending) and that union are a Hall violator.  The union is an OR of
+    list masks and its size a popcount; a star's edges are only listed when
+    it has more edges than the shortest list of the block, read over its
+    distinct masks, so the check costs O(n + sum |e|) when it cannot fire.
     """
-    block = mask_bits(block_mask)
-    lm = list_masks(lists, block)
+    ids = list(edge_ids)
+    lm = list_masks(lists, ids)
     masks = lm.masks
-    shortest = min((masks[e].bit_count() for e in block), default=0)
+    shortest = min((cs.bit_count() for cs in {masks[e] for e in ids}), default=0)
+    block_mask = sum(1 << e for e in ids)
     for star in h.view.incidence:
         star &= block_mask
         if star.bit_count() <= shortest:
@@ -564,38 +565,51 @@ def validate_colouring(
     reporting, since a partial map is a caller bug, not a property of the
     colouring.  Violations list each conflicting pair ``("conflict", i, j)``
     once, ascending, then each off-list edge ``("list", i)``.  Two edges
-    meet exactly when some vertex lies on both, so the conflicts are read
-    off each vertex's star (its edges, taken from ``h.edges`` rather than
-    the cached view, so the check stays independent of it) in
-    O(n + sum |e|) time plus the conflicts found.
+    meet exactly when some vertex lies on both, so an edge clashes iff its
+    vertex mask meets the vertices its colour already covers: one mask
+    test per edge, with one cover mask per colour.  The masks are the
+    constructor's ``h.edge_masks``, not the cached view's, so the check
+    stays independent of the view.  Only when a clash exists are the
+    conflicting pairs read off each vertex's star, in O(n + sum |e|) time
+    plus the conflicts found.
     """
     for i in range(h.m):
         if i not in colouring:
             raise ValueError(f"edge {i} missing from colouring")
-    for i in colouring:
-        if not 0 <= i < h.m:
-            raise ValueError(f"unknown edge id {i} in colouring")
-    stars: list[list[int]] = [[] for _ in range(h.n)]
-    for i, e in enumerate(h.edges):
-        for v in e:
-            stars[v].append(i)
-    conflicts: set[tuple[int, int]] = set()
-    for star in stars:
-        if len({colouring[i] for i in star}) == len(star):
-            continue
-        by_colour: dict[int, list[int]] = {}
-        for i in star:
-            by_colour.setdefault(colouring[i], []).append(i)
-        for same in by_colour.values():
-            conflicts.update(combinations(same, 2))
-    violations: list[tuple] = [("conflict", i, j) for i, j in sorted(conflicts)]
+    if len(colouring) != h.m:
+        for i in colouring:
+            if not 0 <= i < h.m:
+                raise ValueError(f"unknown edge id {i} in colouring")
+    cover: dict[int, int] = {}  # colour -> the vertices of its edges so far
+    clash = False
+    for i, mask in enumerate(h.edge_masks):
+        c = colouring[i]
+        covered = cover.get(c, 0)
+        if covered & mask:
+            clash = True
+        cover[c] = covered | mask
+    violations: list[tuple] = []
+    if clash:
+        stars: list[list[int]] = [[] for _ in range(h.n)]
+        for i, e in enumerate(h.edges):
+            for v in e:
+                stars[v].append(i)
+        conflicts: set[tuple[int, int]] = set()
+        for star in stars:
+            if len({colouring[i] for i in star}) == len(star):
+                continue
+            by_colour: dict[int, list[int]] = {}
+            for i in star:
+                by_colour.setdefault(colouring[i], []).append(i)
+            for same in by_colour.values():
+                conflicts.update(combinations(same, 2))
+        violations = [("conflict", i, j) for i, j in sorted(conflicts)]
     if lists is not None:
         allowed = normalize_lists(h, lists)
         for i in range(h.m):
             if colouring[i] not in allowed[i]:
                 violations.append(("list", i))
-    used = {colouring[i] for i in range(h.m)}
-    return ValidationReport(valid=not violations, colour_count=len(used), violations=tuple(violations))
+    return ValidationReport(valid=not violations, colour_count=len(cover), violations=tuple(violations))
 
 
 def restrict_and_induce(h: Hypergraph, vertex_set: Iterable[int], mode: str) -> Hypergraph:

@@ -131,7 +131,7 @@ def exact_list_colourable(
     lm = edge_list_masks(h, lists)
     if h.m == 0:
         return ListColourResult("yes", witness={})
-    star = star_pigeonhole(h, lm, (1 << h.m) - 1)
+    star = star_pigeonhole(h, lm, range(h.m))
     if star is not None:
         return ListColourResult("no", detail=star.detail)
     masks = [lm.masks[e] for e in range(h.m)]

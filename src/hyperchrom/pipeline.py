@@ -9,6 +9,10 @@ partitions the large edges into H2 < W < H1 and colours W from the
 unreserved colours, H2 from R, H1 greedily, then the medium edges from R
 and the small ones from the rest.
 
+Small edges (``colour_small``) take one deterministic greedy pass first;
+its seeded random passes are only the fallback, so ``params.seed`` reaches
+the ``sml`` stage only when that pass gets stuck.
+
 The staged script is only guaranteed to work out at astronomically large n;
 at usable sizes any stage may fail, so every run carries a stage-by-stage
 report and failures are values, never exceptions.
@@ -60,7 +64,7 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
-_SMALL_PASSES = 8  # seeded random greedy passes in colour_small
+_SMALL_PASSES = 8  # seeded random greedy passes, colour_small's fallback
 
 
 @dataclass(frozen=True)
@@ -215,14 +219,17 @@ def colour_small(
     Those colours are the OR of the edge's vertex palettes
     (``ordering.vertex_palettes``, in the lists' own numbering), cleared
     from its mask before any pass; a mask left empty ends the call ("list
-    emptied by forbidden colours").  Then ``_SMALL_PASSES`` seeded
-    random-order greedy passes with random colour picks, and one
-    deterministic pass by descending line-graph degree.  Stands in for the
-    semi-random nibble, which has nothing to say at this scale.  Before any
-    pass, a vertex whose block edges outnumber the colours left to them
-    (``star_pigeonhole``) ends the call: its failure carries that Hall
-    violator's detail (``Hall violator: k edges, c colours``) and the lowest
-    edge id of its star.
+    emptied by forbidden colours").  Before any pass, a vertex whose block
+    edges outnumber the colours left to them (``star_pigeonhole``) ends the
+    call: its failure carries that Hall violator's detail (``Hall violator:
+    k edges, c colours``) and the lowest edge id of its star.  Then one
+    deterministic pass, by descending degree inside the block with the
+    lowest free colour, and only if it gets stuck ``_SMALL_PASSES`` seeded
+    random-order greedy passes with random colour picks as the fallback, so
+    ``seed`` matters only when the deterministic pass fails.  When every
+    pass fails, the failure names the deterministic pass's stuck edge.
+    Stands in for the semi-random nibble, which has nothing to say at this
+    scale.
     """
     ids = list(edge_ids)
     lm = list_masks(lists, ids)
@@ -241,23 +248,23 @@ def colour_small(
             )
         masks[e] = cs
     allowed = lm._replace(masks=masks)
-    rows, block = h.view.rows, sum(1 << e for e in ids)
-    star = star_pigeonhole(h, allowed, block)
+    star = star_pigeonhole(h, allowed, ids)
     if star is not None:
         return ColouringFailure("small", stuck_edge=star.edges[0], detail=star.detail)
-    for attempt in range(_SMALL_PASSES):
-        rng = random.Random((seed * 1_000_003 + attempt) & _MASK64)
-        order = ids[:]
-        rng.shuffle(order)
-        col: dict[int, int] = {}
-        if greedy_extend(h, order, allowed, col, rng) is None:
-            return col
-    col = {}
+    rows, block = h.view.rows, sum(1 << e for e in ids)
+    col: dict[int, int] = {}
     stuck = greedy_extend(
         h, sorted(ids, key=lambda e: (-(rows[e] & block).bit_count(), e)), allowed, col
     )
     if stuck is None:
         return col
+    for attempt in range(_SMALL_PASSES):
+        rng = random.Random((seed * 1_000_003 + attempt) & _MASK64)
+        order = ids[:]
+        rng.shuffle(order)
+        col = {}
+        if greedy_extend(h, order, allowed, col, rng) is None:
+            return col
     return ColouringFailure(
         "small",
         stuck_edge=stuck,

@@ -409,6 +409,57 @@ def naive_greedy_extend(h: Hypergraph, order, lists, col, pick=min):
     return None
 
 
+def naive_degree_pass(h: Hypergraph, edge_ids, lists):
+    """The block's edges by descending number of other block edges they
+    meet (ties by id), each taking the smallest free colour of ``lists``
+    (sets) through ``naive_greedy_extend``: (colouring, first stuck edge or
+    None)."""
+    ids = list(edge_ids)
+    meets = {
+        e: sum(1 for f in ids if f != e and set(h.edges[e]) & set(h.edges[f])) for e in ids
+    }
+    col: dict[int, int] = {}
+    stuck = naive_greedy_extend(h, sorted(ids, key=lambda e: (-meets[e], e)), lists, col)
+    return col, stuck
+
+
+def naive_colour_small(h: Hypergraph, edge_ids, lists, coloured=None, seed: int = 0):
+    """Small-edge colouring with the seeded passes first and the degree
+    pass last: (colouring or None, stuck edge, failure detail).  Which
+    blocks it colours does not depend on the order of the passes.
+
+    Each block edge's list loses the colours ``coloured`` gives the edges
+    it meets (``naive_forbidden_colours``); a list left empty, then an
+    overfull star (``naive_overfull_star``, named by its lowest edge id),
+    ends the call.  Then eight passes, pass a seeded by
+    ``(seed * 1_000_003 + a) mod 2**64``: the block shuffled, each edge
+    taking ``rng.choice(sorted(free))``; the first that colours every edge
+    is the answer.  Last ``naive_degree_pass``, whose stuck edge a total
+    failure names.
+    """
+    ids = list(edge_ids)
+    banned = naive_forbidden_colours(h, ids, coloured or {})
+    cut = {e: set(lists[e]) - banned[e] for e in ids}
+    for e in ids:
+        if not cut[e]:
+            return None, e, "list emptied by forbidden colours"
+    over = naive_overfull_star(h, cut, ids)
+    if over is not None:
+        _vertex, star, colours = over
+        return None, min(star), f"Hall violator: {len(star)} edges, {len(colours)} colours"
+    for attempt in range(8):
+        rng = random.Random((seed * 1_000_003 + attempt) & ((1 << 64) - 1))
+        order = ids[:]
+        rng.shuffle(order)
+        col: dict[int, int] = {}
+        if naive_greedy_extend(h, order, cut, col, lambda free: rng.choice(sorted(free))) is None:
+            return col, None, ""
+    col, stuck = naive_degree_pass(h, ids, cut)
+    if stuck is None:
+        return col, None, ""
+    return None, stuck, "greedy stuck after 8 randomized passes"
+
+
 def naive_forbidden_colours(h: Hypergraph, edge_ids, col) -> dict[int, set[int]]:
     """For each edge of ``edge_ids``, the colours ``col`` gives the other
     edges that meet it, by scanning every coloured edge (a line-graph row

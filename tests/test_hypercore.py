@@ -38,12 +38,14 @@ from tests._naive import (
     naive_conflicts,
     naive_all_distinct,
     naive_degree,
+    naive_greedy_colour,
     naive_is_hall_violator,
     naive_is_isomorphic,
     naive_list_colouring,
     naive_overfull_star,
     naive_predicates,
     naive_sdr,
+    naive_validate,
     naive_volume,
 )
 from tests.conftest import SPARSE_COLOURS, make_corpus, widened_masks
@@ -313,13 +315,15 @@ class TestStarPigeonhole:
                 }
                 ids = [e for e in range(h.m) if rng.random() < 0.8]
                 expected = naive_overfull_star(h, lists, ids)
-                star = star_pigeonhole(h, lists, sum(1 << e for e in ids))
+                star = star_pigeonhole(h, lists, ids)
                 if expected is None:
                     assert star is None
                     continue
                 fired += 1
                 _vertex, edges, colours = expected
                 assert star == HallViolator(tuple(edges), frozenset(colours))
+                # the block's order does not matter: the star is ascending
+                assert star_pigeonhole(h, lists, ids[::-1]) == star
                 assert naive_is_hall_violator(lists, ids, star.edges)
                 sub, _ = subhypergraph(h, ids)
                 assert naive_list_colouring(sub, [lists[e] for e in ids]) is None
@@ -328,7 +332,7 @@ class TestStarPigeonhole:
     def test_lowest_vertex_named(self):
         # stars at 0 (3 edges) and at 4 (3 edges), two colours each
         h = Hypergraph(7, [(0, 1), (0, 2), (0, 3), (4, 5), (4, 6), (3, 4)])
-        star = star_pigeonhole(h, uniform_lists(h, 2), (1 << h.m) - 1)
+        star = star_pigeonhole(h, uniform_lists(h, 2), range(h.m))
         assert star == HallViolator((0, 1, 2), frozenset({0, 1}))
         assert star.detail == "Hall violator: 3 edges, 2 colours"
 
@@ -377,9 +381,8 @@ class TestListMasks:
     def test_star_pigeonhole_reads_masks(self):
         h = Hypergraph(7, [(0, 1), (0, 2), (0, 3), (4, 5), (4, 6), (3, 4)])
         lists = {e: frozenset({-10**6, 10**6}) for e in range(h.m)}
-        block = (1 << h.m) - 1
-        star = star_pigeonhole(h, list_masks(lists), block)
-        assert star == star_pigeonhole(h, lists, block)
+        star = star_pigeonhole(h, list_masks(lists), range(h.m))
+        assert star == star_pigeonhole(h, lists, range(h.m))
         assert star.colours == frozenset({-10**6, 10**6})
 
 
@@ -539,6 +542,37 @@ class TestValidateColouring:
                 assert rep.valid == (not expected)
                 assert rep.colour_count == len(set(col.values()))
         assert conflicted >= 30
+
+    def test_proper_colourings_match_naive(self, fano):
+        # the clash-free path: smallest-free greedy colourings, their classes
+        # renamed to negative, sparse and huge ids, on instances with size-one
+        # and parallel edges, the empty H, and t_fold copies (built through
+        # _from_normal); with lists, one edge moved off its list
+        rng = random.Random(6200)
+        pool = [-(2**70), -7, -1, 2**70, *SPARSE_COLOURS[::7]]
+        cases = _view_cases() + [Hypergraph(0, []), t_fold(fano, 2)]
+        used: set[int] = set()
+        for h in cases:
+            order = list(range(h.m))
+            rng.shuffle(order)
+            classes, stuck = naive_greedy_colour(h, order, {e: range(h.m) for e in range(h.m)})
+            assert stuck is None
+            names = rng.sample(pool, len(pool))
+            col = {e: names[c] for e, c in classes.items()}
+            used.update(col.values())
+            assert naive_validate(h, col) and naive_conflicts(h, col) == []
+            lists = {e: {col[e], *rng.sample(pool, 3)} for e in range(h.m)}
+            for given in (None, lists):
+                rep = validate_colouring(h, col, given)
+                assert rep.valid and rep.violations == ()
+                assert rep.colour_count == len(set(col.values()))
+            if h.m:
+                e = rng.randrange(h.m)
+                lists[e] = set(pool) - {col[e]}
+                rep = validate_colouring(h, col, lists)
+                assert not naive_validate(h, col, lists)
+                assert not rep.valid and rep.violations == (("list", e),)
+        assert {-(2**70), -7, 2**70} <= used
 
     def test_missing_edge_is_an_error(self, fano):
         with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from hyperchrom import (
     colour_small,
     colour_sparse_block,
     colour_stability,
+    degree_stats,
     near_pencil,
     predicates,
     projective_plane,
@@ -30,6 +31,8 @@ from hyperchrom import pipeline
 from hyperchrom.oracle import exact_list_colourable
 
 from tests._naive import (
+    naive_colour_small,
+    naive_degree_pass,
     naive_forbidden_colours,
     naive_is_hall_violator,
     naive_list_colouring,
@@ -37,7 +40,13 @@ from tests._naive import (
     naive_reserve_colours,
     naive_validate,
 )
-from tests.conftest import H3_CASES, PERTURBED_FORMS, make_corpus, perturbed_plane
+from tests.conftest import (
+    H3_CASES,
+    PERTURBED_FORMS,
+    SPARSE_COLOURS,
+    make_corpus,
+    perturbed_plane,
+)
 
 
 class TestSplitBySize:
@@ -292,6 +301,55 @@ class TestColourSmall:
         a = colour_small(fano, range(7), lists, seed=3)
         b = colour_small(fano, range(7), lists, seed=3)
         assert a == b
+
+    def test_degree_pass_first_on_short_lists(self):
+        # Delta <= k <= tn colours, uniform or per-edge from a pool of k + 2
+        # negative and sparse ids, part of H coloured or none: colour_small
+        # succeeds exactly when the seeded-passes-first reference does, fails
+        # with its stuck edge and detail, and returns the naive degree pass's
+        # colouring whenever that pass colours the block, else the
+        # reference's seeded one
+        rng = random.Random(8800)
+        seen = set()
+        for h, t in make_corpus(60, base_seed=8800, n_range=(5, 14), t_range=(1, 2)):
+            delta = max(degree_stats(h).degree)
+            for _ in range(6):
+                k = rng.choice((delta, delta, rng.randint(delta, max(delta, t * h.n))))
+                ids = list(range(h.m))
+                rng.shuffle(ids)
+                cut = rng.choice((0, 0, rng.randint(0, h.m // 2)))
+                block = ids[cut:]
+                if rng.random() < 0.5:
+                    pool = list(range(k))
+                    lists = {e: pool for e in block}
+                else:
+                    pool = rng.sample(SPARSE_COLOURS, k + 2)
+                    lists = {e: rng.sample(pool, k) for e in block}
+                coloured = {f: rng.choice(pool) for f in ids[:cut]}
+                seed = rng.randrange(50)
+                got = colour_small(h, block, lists, coloured, seed=seed)
+                col, stuck, detail = naive_colour_small(h, block, lists, coloured, seed)
+                banned = naive_forbidden_colours(h, block, coloured)
+                first, first_stuck = naive_degree_pass(
+                    h, block, {e: set(lists[e]) - banned[e] for e in block}
+                )
+                if col is None:
+                    assert isinstance(got, ColouringFailure)
+                    assert (got.stage, got.stuck_edge, got.detail) == ("small", stuck, detail)
+                    seen.add(detail.split(":")[0])
+                elif first_stuck is None:
+                    assert got == first
+                    seen.add("degree pass" + (" after coloured" if coloured else ""))
+                else:
+                    assert got == col
+                    seen.add("seeded pass")
+        assert seen >= {
+            "degree pass",
+            "degree pass after coloured",
+            "seeded pass",
+            "greedy stuck after 8 randomized passes",
+            "Hall violator",
+        }, seen
 
 
 class TestColourSparseBlock:
