@@ -626,7 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r0", type=int)
     p.add_argument("--r1", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--exact-budget", type=int, default=12)
+    p.add_argument("--exact-budget", type=_non_negative_int, default=12)
     p.set_defaults(func=_cmd_color)
 
     p = sub.add_parser("exact", help="exact chromatic index / list colourability")

@@ -464,7 +464,9 @@ def colour_extremal(
     and finally exhaustive search when e(H) fits the budget.  On
     intersecting H every proper colouring is all-distinct, so a Hall
     violator from rung 1 or 2 ends the ladder: the failure carries the
-    violator's detail.  Rung 4 colours whenever the shortest list has at
+    violator's detail.  A "no" from rung 5 carries the oracle's detail (a
+    Hall violator when a vertex star settles it), else "not
+    list-colourable".  Rung 4 colours whenever the shortest list has at
     least e(H) - |matching| colours (see ``colour_from_matching``); at
     e(H) = t*n on a non-intersecting H the matching has a pair, so lists
     of e(H) - 1 colours always suffice there.  There is no useful-family
@@ -497,19 +499,16 @@ def colour_extremal(
     if h.m == 0:
         return {}, report("empty")
 
-    if h.m < tn:
+    if h.m < tn or h.m == tn and predicates(h).is_intersecting:
+        rung, why = ("1", "e < t*n") if h.m < tn else ("2", "e = t*n, intersecting")
         out = distinct_representatives(allowed, range(h.m))
         if isinstance(out, dict):
-            return out, report("1: all-distinct (e < t*n)")
-        attempts.append(f"rung 1 found no distinct colours: {out.detail}")
-        if predicates(h).is_intersecting:
+            return out, report(f"{rung}: all-distinct ({why})")
+        attempts.append(f"rung {rung} found no distinct colours: {out.detail}")
+        # a Hall violator ends the ladder on intersecting H, as rung 2's H
+        # is; rung 1 reads the predicate only once it has failed
+        if h.m == tn or predicates(h).is_intersecting:
             return ColouringFailure("colour_extremal", detail=out.detail), report(None)
-    elif h.m == tn and predicates(h).is_intersecting:
-        out = distinct_representatives(allowed, range(h.m))
-        if isinstance(out, dict):
-            return out, report("2: all-distinct (e = t*n, intersecting)")
-        attempts.append(f"rung 2 found no distinct colours: {out.detail}")
-        return ColouringFailure("colour_extremal", detail=out.detail), report(None)
 
     cm = maximal_complement_matching(h)
     matching_size = cm.size
@@ -524,11 +523,10 @@ def colour_extremal(
         if res.status == "yes":
             return dict(res.witness), report("5: exact search")
         if res.status == "no":
-            attempts.append("rung 5 proved no list colouring exists")
-            return (
-                ColouringFailure("colour_extremal", detail="not list-colourable"),
-                report(None),
-            )
+            proof = f": {res.detail}" if res.detail else ""
+            attempts.append(f"rung 5 proved no list colouring exists{proof}")
+            detail = res.detail or "not list-colourable"
+            return ColouringFailure("colour_extremal", detail=detail), report(None)
         attempts.append("rung 5 budget exceeded")
     else:
         attempts.append(f"rung 5 skipped: e(H)={h.m} over budget {exact_budget}")

@@ -336,14 +336,11 @@ def dual(h: Hypergraph) -> Hypergraph:
     original vertex ``v`` the result gets the edge ``{i : v in V(e_i)}``.
     Vertices of degree 0 would produce an empty edge, so they are refused.
     """
-    incident: list[list[int]] = [[] for _ in range(h.n)]
-    for i, e in enumerate(h.edges):
-        for v in e:
-            incident[v].append(i)
-    for v, inc in enumerate(incident):
-        if not inc:
+    stars = h.view.incidence
+    for v, star in enumerate(stars):
+        if not star:
             raise ValueError(f"vertex {v} has degree 0; dual undefined")
-    return Hypergraph(h.m, incident)
+    return Hypergraph(h.m, [mask_bits(star) for star in stars])
 
 
 def line_graph(h: Hypergraph) -> Graph:

@@ -529,7 +529,10 @@ def colour_main(
     probability 2*gamma, gives medium edges C∩R and large edges their full
     lists, partitions med∪lrg into H3 < H2 < H1 and colours it greedily in
     that order (H3 in the ``H2`` stage), then the small edges from C\\R.  If
-    it fails, ``exact`` searches for a colouring when e(H) <= exact_budget.
+    it fails, ``exact`` searches for a colouring when e(H) <= exact_budget;
+    a failed ``exact`` stage carries the oracle's detail (a Hall violator
+    for a "no" settled by a star, the cap for "budget"), or "no proper
+    colouring from these lists" when the search gives none.
     """
     if t < 1:
         raise ValueError("t must be positive")
@@ -556,10 +559,8 @@ def colour_main(
                 )
             )
             return PipelineRun(dict(res.witness or {}), tuple(stages))
-        if res.status == "no":
-            failure = ColouringFailure("exact", detail="no proper colouring from these lists")
-        else:
-            failure = ColouringFailure("exact", detail=res.detail)
+        detail = res.detail or "no proper colouring from these lists"
+        failure = ColouringFailure("exact", detail=detail)
         stages.append(StageRecord("exact", "failed", failure.detail))
         return PipelineRun(failure, tuple(stages))
     failure = ColouringFailure(

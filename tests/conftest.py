@@ -44,6 +44,15 @@ def k4() -> Hypergraph:
     return Hypergraph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 
 
+@pytest.fixture
+def star_beside_edge() -> Hypergraph:
+    """Three edges through vertex 0 beside a disjoint edge.  It is not
+    intersecting, and from lists of two colours the star is a Hall
+    violator (``Hall violator: 3 edges, 2 colours``) that the list oracle
+    finds before any search."""
+    return Hypergraph(6, [(0, 1), (0, 2), (0, 3), (4, 5)])
+
+
 def make_corpus(count, base_seed, n_range=(5, 14), t_range=(1, 3), size_hi=4):
     """Seeded random bounded-codegree instances with their codegree caps."""
     out = []

@@ -299,6 +299,22 @@ class TestColor:
         assert main(args + (["--t", "1"] if command == "color" else [])) == 1
         assert _report(capsys)["colours_used"] is None
 
+    @pytest.mark.parametrize("mode", ["pipeline", "extremal"])
+    def test_exact_no_reports_the_hall_violator(self, tmp_path, capsys, star_beside_edge, mode):
+        path = _write(tmp_path, "star.hg", star_beside_edge)
+        args = ["color", "--in", path, "--t", "1", "--lists", "uniform:2", "--mode", mode]
+        assert main(args) == 1
+        assert _report(capsys)["outcome"]["detail"] == "Hall violator: 3 edges, 2 colours"
+
+    @pytest.mark.parametrize("mode", ["pipeline", "extremal"])
+    def test_negative_exact_budget_is_a_usage_error(self, tmp_path, capsys, fano, mode):
+        path = _write(tmp_path, "fano.hg", fano)
+        args = ["color", "--in", path, "--t", "1", "--lists", "uniform:7", "--mode", mode]
+        assert main([*args, "--exact-budget", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--exact-budget: must be a non-negative integer" in captured.err
+
     def test_intersecting_two_fold_plane_coloured(self, tmp_path, capsys):
         # every two lines of a t-fold plane meet: one matching colours it
         h = t_fold(projective_plane(4), 2)

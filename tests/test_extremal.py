@@ -21,6 +21,7 @@ from hyperchrom import (
 )
 from hyperchrom import extremal, oracle
 from hyperchrom.hypercore import distinct_representatives
+from hyperchrom.oracle import ListColourResult
 
 from tests._naive import (
     naive_all_distinct,
@@ -388,6 +389,36 @@ class TestColourExtremal:
         out, report = colour_extremal(k4, 1, uniform_lists(k4, 2), exact_budget=5)
         assert isinstance(out, ColouringFailure)
         assert report.attempts[-1] == "rung 5 skipped: e(H)=6 over budget 5"
+
+    def test_rung_5_no_carries_the_oracle_detail(self, star_beside_edge):
+        # not intersecting, so rung 1's violator does not end the ladder;
+        # rung 4's lists are too short, and the oracle's star check says no
+        h = star_beside_edge
+        out, report = colour_extremal(h, 1, uniform_lists(h, 2))
+        detail = "Hall violator: 3 edges, 2 colours"
+        assert out == ColouringFailure("colour_extremal", detail=detail)
+        assert report.rung is None
+        assert report.attempts == (
+            f"rung 1 found no distinct colours: {detail}",
+            "rung 4 lists smaller than e(H) - |matching|",
+            f"rung 5 proved no list colouring exists: {detail}",
+        )
+
+    def test_rung_5_no_from_search_has_no_detail(self, fano):
+        # no star of Fano plus a disjoint edge outnumbers six colours, so
+        # the oracle's "no" comes from its search and carries no detail
+        h = Hypergraph(9, [*fano.edges, (7, 8)])
+        out, report = colour_extremal(h, 1, uniform_lists(h, 6))
+        assert out == ColouringFailure("colour_extremal", detail="not list-colourable")
+        assert report.attempts[-1] == "rung 5 proved no list colouring exists"
+
+    def test_rung_5_budget_refusal(self, monkeypatch, star_beside_edge):
+        refused = ListColourResult("budget", detail="time cap hit")
+        monkeypatch.setattr(oracle, "exact_list_colourable", lambda *args, **kwargs: refused)
+        h = star_beside_edge
+        out, report = colour_extremal(h, 1, uniform_lists(h, 2))
+        assert report.attempts[-1] == "rung 5 budget exceeded"
+        assert out == ColouringFailure("colour_extremal", detail="; ".join(report.attempts))
 
     def test_intersecting_verdict_without_matching_or_oracle(self, monkeypatch, fano):
         # on intersecting H rungs 1 and 2 decide: a colouring or a Hall

@@ -147,6 +147,21 @@ class TestDual:
         with pytest.raises(ValueError):
             dual(Hypergraph(3, [(0, 1)]))
 
+    def test_edges_are_the_vertex_stars_on_corpus(self, corpus):
+        # edge v of the dual lists, ascending, the edges of H through v; the
+        # first vertex of degree 0 is the one the error names
+        covered = 0
+        for h, _t in corpus:
+            stars = [tuple(i for i, e in enumerate(h.edges) if v in e) for v in range(h.n)]
+            if () in stars:
+                with pytest.raises(ValueError, match=f"vertex {stars.index(())} has degree 0"):
+                    dual(h)
+                continue
+            d = dual(h)
+            assert (d.n, d.edges) == (h.m, tuple(stars))
+            covered += 1
+        assert covered
+
     @pytest.mark.parametrize(
         "cliques, line_degrees",
         [

@@ -27,8 +27,8 @@ from hyperchrom import (
     uniform_lists,
     validate_colouring,
 )
-from hyperchrom import pipeline
-from hyperchrom.oracle import exact_list_colourable
+from hyperchrom import oracle, pipeline
+from hyperchrom.oracle import ListColourResult, exact_list_colourable
 
 from tests._naive import (
     naive_colour_small,
@@ -525,6 +525,21 @@ class TestColourMain:
         assert run.outcome.stage == "exact"
         assert "no proper colouring" in run.outcome.detail
         assert _stage_map(run)["exact"] == "failed"
+
+    def test_exact_no_from_a_star_carries_its_violator(self, star_beside_edge):
+        h = star_beside_edge
+        run = colour_main(h, 1, uniform_lists(h, 2))
+        detail = "Hall violator: 3 edges, 2 colours"
+        assert run.outcome == ColouringFailure("exact", detail=detail)
+        assert run.stages[-1] == StageRecord("exact", "failed", detail)
+
+    def test_exact_budget_refusal_carries_its_detail(self, monkeypatch, fano):
+        refused = ListColourResult("budget", detail="time cap hit")
+        monkeypatch.setattr(oracle, "exact_list_colourable", lambda *args, **kwargs: refused)
+        h = _with_disjoint_edge(fano, 1)
+        run = colour_main(h, 1, uniform_lists(h, 6))
+        assert run.outcome == ColouringFailure("exact", detail="time cap hit")
+        assert run.stages[-1] == StageRecord("exact", "failed", "time cap hit")
 
     def test_exact_budget_skips_oracle(self, fano):
         params = PipelineParams(exact_budget=5)

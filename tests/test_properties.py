@@ -89,12 +89,9 @@ def check_two_scale_neighbour_bound(h, t):
                 continue
             for e in range(h.m):
                 r = sizes[e]
-                m1 = sum(1 for f in nb[e] if sizes[f] >= (1 + a1) * r)
-                m2 = sum(
-                    1
-                    for f in nb[e]
-                    if r / (1 + a2) <= sizes[f] < (1 + a1) * r
-                )
+                larger, comparable = (1 + a1) * r, r / (1 + a2)
+                m1 = sum(1 for f in nb[e] if sizes[f] >= larger)
+                m2 = sum(1 for f in nb[e] if comparable <= sizes[f] < larger)
                 lhs = (1 + a1) * m1 + Fraction(m2) / (1 + a2)
                 rhs = t * h.n * (1 + (1 + a2) / (r - 1 - a2))
                 assert lhs <= rhs, (e, a1, a2, lhs, rhs)
