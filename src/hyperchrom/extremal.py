@@ -527,7 +527,8 @@ def colour_extremal(
             attempts.append(f"rung 5 proved no list colouring exists{proof}")
             detail = res.detail or "not list-colourable"
             return ColouringFailure("colour_extremal", detail=detail), report(None)
-        attempts.append("rung 5 budget exceeded")
+        refusal = f": {res.detail}" if res.detail else ""
+        attempts.append(f"rung 5 budget exceeded{refusal}")
     else:
         attempts.append(f"rung 5 skipped: e(H)={h.m} over budget {exact_budget}")
 

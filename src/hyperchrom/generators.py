@@ -6,6 +6,7 @@ import logging
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from math import ceil, log
 from typing import Sequence
 
 from .hypercore import Hypergraph, predicates
@@ -194,10 +195,27 @@ def random_bounded_codegree(params: GeneratorParams) -> Hypergraph:
     rejecting any edge that would push a pair of vertices past codegree t.
     The retry budget is 50 * density draws; falling short is logged, not an
     error.
+
+    Each draw reads ``random.Random(params.seed).getrandbits`` exactly as
+    ``s = rng.randint(lo, hi)`` and then ``rng.sample(range(n), s)`` do in
+    CPython 3.10-3.13, so a seed gives the same edges in the same order as
+    those two calls would; ``tests/_naive.py`` keeps the two calls as the
+    reference.  ``randint`` and ``sample`` draw a number below k by
+    rejection: ``k.bit_length()`` bits, again while the draw is >= k.
+    ``sample`` picks from a shrinking pool while n is at most the size of
+    a set of s items (21, plus 4 ** ceil(log(3s, 4)) when s > 5), and
+    otherwise draws below n, again on a repeat.
     """
     rng = random.Random(params.seed)
+    getrandbits = rng.getrandbits
     n, t = params.n, params.t
     lo, hi = params.size_range
+    width = hi - lo + 1
+    width_bits = width.bit_length()
+    n_bits = n.bit_length()
+    # pooled[s - lo]: whether sample(range(n), s) keeps a pool list
+    pooled = [n <= 21 + (4 ** ceil(log(s * 3, 4)) if s > 5 else 0) for s in range(lo, hi + 1)]
+    everyone = list(range(n))
     # at_least[k][v]: the vertices whose codegree with v exceeds k, kept as
     # bit slices of a per-vertex counter; a draw is rejected iff one of its
     # vertices already has codegree t with another
@@ -205,17 +223,36 @@ def random_bounded_codegree(params: GeneratorParams) -> Hypergraph:
     full = at_least[t - 1]
     edges: list[tuple[int, ...]] = []
     masks: list[int] = []
-    vertices = range(n)
     budget = 50 * params.density
     tries = 0
     while len(edges) < params.density and tries < budget:
         tries += 1
-        s = rng.randint(lo, hi)
-        verts = sorted(rng.sample(vertices, s))
+        # the size is lo + r
+        r = getrandbits(width_bits)
+        while r >= width:
+            r = getrandbits(width_bits)
+        verts = []
         mask = blocked = 0
-        for v in verts:
-            mask |= 1 << v
-            blocked |= full[v]
+        if pooled[r]:
+            pool = everyone[:]
+            for left in range(n, n - lo - r, -1):
+                bits = left.bit_length()
+                j = getrandbits(bits)
+                while j >= left:
+                    j = getrandbits(bits)
+                v = pool[j]
+                pool[j] = pool[left - 1]
+                verts.append(v)
+                mask |= 1 << v
+                blocked |= full[v]
+        else:
+            for _ in range(lo + r):
+                v = getrandbits(n_bits)
+                while v >= n or mask >> v & 1:
+                    v = getrandbits(n_bits)
+                verts.append(v)
+                mask |= 1 << v
+                blocked |= full[v]
         if blocked & mask:
             continue
         for v in verts:
@@ -224,6 +261,7 @@ def random_bounded_codegree(params: GeneratorParams) -> Hypergraph:
                 level[v], carry = level[v] | carry, level[v] & carry
                 if not carry:
                     break
+        verts.sort()
         edges.append(tuple(verts))
         masks.append(mask)
     if len(edges) < params.density:

@@ -417,7 +417,7 @@ class TestColourExtremal:
         monkeypatch.setattr(oracle, "exact_list_colourable", lambda *args, **kwargs: refused)
         h = star_beside_edge
         out, report = colour_extremal(h, 1, uniform_lists(h, 2))
-        assert report.attempts[-1] == "rung 5 budget exceeded"
+        assert report.attempts[-1] == "rung 5 budget exceeded: time cap hit"
         assert out == ColouringFailure("colour_extremal", detail="; ".join(report.attempts))
 
     def test_intersecting_verdict_without_matching_or_oracle(self, monkeypatch, fano):

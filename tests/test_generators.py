@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import random
 
@@ -16,6 +17,7 @@ from hyperchrom import (
     t_fold,
     volume,
 )
+from hyperchrom.cli import format_hg
 from hyperchrom.generators import SUPPORTED_PLANE_ORDERS, _check_plane
 from tests._naive import naive_plane_edges, naive_random_bounded_codegree
 from tests.conftest import FANO_LINES
@@ -187,6 +189,55 @@ class TestRandomBoundedCodegree:
             assert_same_as_fresh(
                 random_bounded_codegree(params), naive_random_bounded_codegree(params)
             )
+
+    @pytest.mark.parametrize(
+        "n, size_range, density",
+        [
+            # sample(range(n), s) keeps a pool while n <= 21 for s <= 5,
+            (21, (1, 5), 40),
+            (22, (1, 5), 40),
+            # while n <= 85 for 6 <= s <= 21,
+            (85, (6, 21), 25),
+            (86, (6, 21), 25),
+            # and while n <= 277 for 22 <= s <= 85; else it draws below n
+            (277, (22, 30), 8),
+            (278, (22, 30), 8),
+            # one call draws by both methods
+            (100, (1, 30), 25),
+            # s = n always keeps a pool; s = 1 draws below n once n > 21
+            (22, (22, 22), 3),
+            (86, (86, 86), 2),
+            (278, (1, 1), 5),
+            (1, (1, 1), 2),
+        ],
+    )
+    def test_matches_sampler_on_both_sample_methods(self, n, size_range, density):
+        for t in (1, 2, 3):
+            for seed in range(3):
+                params = GeneratorParams(
+                    seed=1000 * t + seed, n=n, t=t, size_range=size_range, density=density
+                )
+                assert_same_as_fresh(
+                    random_bounded_codegree(params), naive_random_bounded_codegree(params)
+                )
+
+    @pytest.mark.parametrize(
+        "n, t, size_range, density, seed, digest",
+        [
+            (200, 2, (2, 12), 600, 11,
+             "d914330c70804810a35c2f454f376e156e30d7ef2c36660050434dc2871e735f"),
+            (90, 1, (2, 8), 200, 3,
+             "b8ac89ec6d2ea8f29ad086fa4b30ca9e98c1b37b6b20dd20da7034b1cd572f01"),
+            (300, 3, (20, 30), 100, 5,
+             "fcbc214cd6ef9c2f792df9095e33e25e12e16e4641b978dd56324329fcf361d5"),
+        ],
+    )
+    def test_pinned_instances(self, n, t, size_range, density, seed, digest):
+        # sha256 of the written instance, the same under Python 3.10-3.12:
+        # the sampler and its naive reference cannot drift together
+        params = GeneratorParams(seed=seed, n=n, t=t, size_range=size_range, density=density)
+        text = format_hg(random_bounded_codegree(params))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
