@@ -188,28 +188,34 @@ def _search(
     return out, nodes, reads
 
 
+def _bounds(adj: list[int], lower: int) -> tuple[int, list[int]]:
+    """``(lb, colouring)`` of a non-empty bitmask-adjacency graph without
+    search: the lower bound max(greedy clique, ``lower``) and a greedy
+    colouring, both taking the vertices by (higher degree, lower id)."""
+    order = sorted(range(len(adj)), key=lambda v: (-adj[v].bit_count(), v))
+    return max(_greedy_clique(adj, order), lower), _greedy_colouring(adj, order)
+
+
 def solve_chromatic(
     adj: list[int], time_cap_ms: int = 0, lower: int = 0, cliques: Sequence[int] = ()
 ) -> tuple[int, list[int], bool]:
     """Exact chromatic number of a bitmask-adjacency graph.
 
-    Greedy clique lower bound, greedy upper bound, then ``_search`` for a
-    colouring from {0..k-1} with first-use symmetry breaking and the star
-    check on ``cliques`` (vertex masks of cliques of the graph), for k one
-    below the best colouring so far, until it fails.  ``lower`` must be a
-    proven lower bound on the chromatic number (the caller's own
-    certificate); the search stops once it reaches max(greedy clique,
-    lower), which skips only the final infeasibility proof and never
-    changes the colouring returned.  A time cap (0: none) that fires
+    Greedy clique lower bound and greedy upper bound (``_bounds``), then
+    ``_search`` for a colouring from {0..k-1} with first-use symmetry
+    breaking and the star check on ``cliques`` (vertex masks of cliques of
+    the graph), for k one below the best colouring so far, until it fails.
+    ``lower`` must be a proven lower bound on the chromatic number (the
+    caller's own certificate); the search stops once it reaches
+    max(greedy clique, lower), which skips only the final infeasibility
+    proof and never changes the colouring returned.  A time cap (0: none) that fires
     returns the best colouring found, with ``completed`` False.
     """
     n = len(adj)
     if n == 0:
         return 0, [], True
     deadline = _deadline(time_cap_ms)
-    order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
-    lb = max(_greedy_clique(adj, order), lower)
-    best = _greedy_colouring(adj, order)
+    lb, best = _bounds(adj, lower)
     k = max(best)
     while k >= lb:
         try:

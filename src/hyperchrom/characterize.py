@@ -10,9 +10,10 @@ linear case (t = 1, bound n).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
-from .hypercore import Hypergraph, degree_stats, predicates
+from .hypercore import Hypergraph, degree_stats, mask_bits, predicates
 
 __all__ = [
     "TFoldProjectivePlane",
@@ -129,56 +130,54 @@ def _classify_extremal(h: Hypergraph, t: int, ib: dict) -> Classification:
     if not ib["tight"]:
         return Classification(NotExtremal(), h.m, ib["bound"], None)
 
-    deg = h.view.degrees
-    covered = 0
-    for mask in h.edge_masks:
-        covered |= mask
-    for v in range(h.n):
-        if deg[v] < 1:
-            continue
-        closed = h.view.closed_masks[v]
-        if t * closed.bit_count() != h.m or covered & ~closed:
-            continue
-        kind = _classify_on_support(h, t, closed)
-        if kind is not None:
-            return Classification(kind, h.m, ib["bound"], v)
-    raise RuntimeError(
-        "internal: tight instance resisted classification; tight instances "
-        "are exactly the folded planes and near-pencils, so this is a bug"
-    )
+    # N[v] lies inside the covered set for every non-isolated v, so a vertex
+    # whose N[v] is all of it has the largest N[v]: the bound's witness (the
+    # first vertex with the largest N[v]) is one whenever any vertex is, and
+    # otherwise some edge leaves N[witness] and the support test fails
+    witness = ib["witness_vertex"]
+    kind = _classify_on_support(h, t, h.view.closed_masks[witness])
+    if kind is None:
+        raise RuntimeError(
+            "internal: tight instance resisted classification; tight instances "
+            "are exactly the folded planes and near-pencils, so this is a bug"
+        )
+    return Classification(kind, h.m, ib["bound"], witness)
 
 
 def _classify_on_support(
     h: Hypergraph, t: int, support: int
 ) -> TFoldProjectivePlane | TFoldNearPencil | None:
     """Test the t-fold plane / near-pencil shape on edges inside the vertex
-    bitmask ``support``."""
+    bitmask ``support``.
+
+    The base (each distinct edge once) is read off H's cached facts.  Once
+    every distinct edge occurs exactly t times, a pair's codegree in H is t
+    times its codegree in the base, so the base is linear iff H's maximum
+    codegree is at most t; and the copies of one (non-empty) edge meet, so
+    the base is intersecting iff H is.  A base vertex's degree is its degree
+    in H divided by t.
+    """
     if any(mask & ~support for mask in h.edge_masks):
         return None
-    mult: dict[tuple[int, ...], int] = {}
-    for e in h.edges:
-        mult[e] = mult.get(e, 0) + 1
+    mult = Counter(h.edge_masks)
     if any(c != t for c in mult.values()):
         return None
-    base = Hypergraph(h.n, tuple(mult))
-    base_pred = predicates(base)
-    if not (base_pred.is_linear and base_pred.is_intersecting):
+    view, deg = h.view, h.view.degrees
+    if view.degree_stats.max_codegree > t or not view.predicates.is_intersecting:
         return None
-    covered = sorted({v for e in base.edges for v in e})
-    if sum(1 << v for v in covered) != support:
-        return None
-    n0 = len(covered)
+    n0 = support.bit_count()
+    if sum(1 for d in deg if d) != n0:
+        return None  # the edges, all inside support, leave some of it bare
     remark = "also the projective plane of order 1" if n0 == 3 else ""
 
-    sizes = {len(e) for e in base.edges}
+    sizes = {mask.bit_count() for mask in mult}
     if len(sizes) == 1:
         k = sizes.pop() - 1
-        deg = base.view.degrees
         if (
             k >= 2
             and n0 == k * k + k + 1
-            and base.m == n0
-            and all(deg[v] == k + 1 for v in covered)
+            and len(mult) == n0
+            and all(deg[v] == t * (k + 1) for v in mask_bits(support))
         ):
             return TFoldProjectivePlane(k, t)
 
@@ -186,13 +185,12 @@ def _classify_on_support(
     # for x on the rim.  Two rims would share n0 - 2 vertices, so for
     # n0 >= 4 a linear base has at most one; the triangle's three edges
     # are all rims, and any of them gives the same expected edge set.
-    if n0 >= 3 and base.m == n0:
-        masks = set(base.edge_masks)
-        rim = next((mask for mask in masks if mask.bit_count() == n0 - 1), None)
+    if n0 >= 3 and len(mult) == n0:
+        rim = next((mask for mask in mult if mask.bit_count() == n0 - 1), None)
         if rim is not None:
             apex = support & ~rim  # one bit: support is the covered set
-            expected = {rim} | {apex | 1 << x for x in covered if rim >> x & 1}
-            if masks == expected:
+            expected = {rim} | {apex | 1 << x for x in mask_bits(rim)}
+            if mult.keys() == expected:
                 return TFoldNearPencil(t, remark)
     return None
 

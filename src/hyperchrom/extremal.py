@@ -467,14 +467,16 @@ def colour_extremal(
     violator's detail.  A "no" from rung 5 carries the oracle's detail (a
     Hall violator when a vertex star settles it), else "not
     list-colourable".  Rung 4 colours whenever the shortest list has at
-    least e(H) - |matching| colours (see ``colour_from_matching``); at
-    e(H) = t*n on a non-intersecting H the matching has a pair, so lists
-    of e(H) - 1 colours always suffice there.  There is no useful-family
-    rung for e(H) > t*n: ``find_useful_family`` returns a family only when
-    the maximum complement matching has at most r = e(H) - t*n pairs, and a
-    family would yield r+1 disjoint pairs, so it never finds one.  The
-    per-edge size premise |V(e)| >= (1-delta)*sqrt(n) is reported, not
-    enforced.
+    least e(H) - |matching| colours (see ``colour_from_matching``).  As
+    |matching| <= e(H)/2, the matching is computed only when the shortest
+    list holds at least e(H)/2 colours; otherwise the report's
+    ``matching_size`` is None.  At e(H) = t*n on a non-intersecting H the
+    matching has a pair, so lists of e(H) - 1 colours always suffice
+    there.  There is no useful-family rung for e(H) > t*n:
+    ``find_useful_family`` returns a family only when the maximum
+    complement matching has at most r = e(H) - t*n pairs, and a family
+    would yield r+1 disjoint pairs, so it never finds one.  The per-edge
+    size premise |V(e)| >= (1-delta)*sqrt(n) is reported, not enforced.
     """
     if t < 1:
         raise ValueError("t must be positive")
@@ -510,10 +512,11 @@ def colour_extremal(
         if h.m == tn or predicates(h).is_intersecting:
             return ColouringFailure("colour_extremal", detail=out.detail), report(None)
 
-    cm = maximal_complement_matching(h)
-    matching_size = cm.size
-    if shortest >= h.m - cm.size:
-        return colour_from_matching(h, cm, allowed), report("4: maximum complement matching")
+    if 2 * shortest >= h.m:  # else shorter than e(H) - |matching| for any matching
+        cm = maximal_complement_matching(h)
+        matching_size = cm.size
+        if shortest >= h.m - cm.size:
+            return colour_from_matching(h, cm, allowed), report("4: maximum complement matching")
     attempts.append("rung 4 lists smaller than e(H) - |matching|")
 
     if h.m <= exact_budget:

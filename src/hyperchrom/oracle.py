@@ -80,21 +80,28 @@ def exact_chromatic_index(
 
     Branch and bound whose lower bound is max(Δ(H), greedy clique): the
     edges through one vertex form a clique of the line graph, so Δ(H) <= χ'.
-    When that bound meets the greedy colouring no search runs.  Otherwise
-    ``_kernel_py.solve_chromatic`` closes the gap with the kernel's one
-    search, here with first-use colour symmetry breaking and the star
-    check on the vertex stars at every node.  Refuses with a
-    typed BudgetExceeded instead of guessing when a limit is hit; a time
-    refusal carries Δ(H) as ``lower`` and the colours of its best colouring
-    as ``upper``.
+    When that bound meets the greedy colouring no search runs, and the
+    answer stands at any e(H): PG(2, q), whose lines pairwise meet, is
+    answered whatever its size.  Otherwise ``_kernel_py.solve_chromatic``
+    closes the gap with the kernel's one search, here with first-use colour
+    symmetry breaking and the star check on the vertex stars at every node.
+    Refuses with a typed BudgetExceeded instead of guessing when a limit is
+    hit: past ``max_edges`` with the two bounds as ``lower`` and ``upper``;
+    at the time cap with Δ(H) as ``lower`` and the colours of its best
+    colouring as ``upper``.
     """
     budget = budget or OracleBudget()
-    if h.m > budget.max_edges:
-        return BudgetExceeded("edges", f"e(H)={h.m} exceeds {budget.max_edges}")
     if h.m == 0:
         return 0
     adj = list(h.view.rows)
     delta = max(h.view.degrees)
+    if h.m > budget.max_edges:
+        lower, col = _kernel_py._bounds(adj, delta)
+        upper = max(col) + 1
+        if lower == upper:
+            return upper
+        detail = f"e(H)={h.m} exceeds {budget.max_edges}"
+        return BudgetExceeded("edges", detail, lower=lower, upper=upper)
     chi, _col, completed = _kernel_py.solve_chromatic(
         adj, budget.time_cap_ms, lower=delta, cliques=h.view.incidence
     )
@@ -115,8 +122,9 @@ def exact_list_colourable(
     The colours, which may be any integers, are numbered by rank
     (``edge_list_masks``; a ``ListMasks`` is used as it is).  A vertex
     whose edges outnumber the union of their lists (``star_pigeonhole``)
-    settles 'no' before any search, and the detail is that Hall
-    violator's: ``Hall violator: k edges, c colours``.  Otherwise
+    settles 'no' at any e(H), before the edge budget and any search, and
+    the detail is that Hall violator's: ``Hall violator: k edges, c
+    colours``.  Past ``max_edges`` it is refused as 'budget'.  Otherwise
     ``_kernel_py.list_colour`` searches the line graph: it branches on the
     edge with the fewest colours left, and fails every node where a
     star's uncoloured edges outnumber the colours they have left between
@@ -126,14 +134,14 @@ def exact_list_colourable(
     error, raised); a time cap hit is refused as 'budget'.
     """
     budget = budget or OracleBudget()
-    if h.m > budget.max_edges:
-        return ListColourResult("budget", detail=f"e(H)={h.m} exceeds {budget.max_edges}")
     lm = edge_list_masks(h, lists)
     if h.m == 0:
         return ListColourResult("yes", witness={})
     star = star_pigeonhole(h, lm, range(h.m))
     if star is not None:
         return ListColourResult("no", detail=star.detail)
+    if h.m > budget.max_edges:
+        return ListColourResult("budget", detail=f"e(H)={h.m} exceeds {budget.max_edges}")
     masks = [lm.masks[e] for e in range(h.m)]
     col, completed = _kernel_py.list_colour(
         list(h.view.rows), masks, budget.time_cap_ms, cliques=h.view.incidence

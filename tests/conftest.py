@@ -45,6 +45,13 @@ def k4() -> Hypergraph:
 
 
 @pytest.fixture
+def c5() -> Hypergraph:
+    """The 5-cycle: Δ = 2 and χ' = 3.  Its greedy clique (2) and greedy
+    colouring (3) do not meet, so no certificate settles it."""
+    return Hypergraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+
+
+@pytest.fixture
 def star_beside_edge() -> Hypergraph:
     """Three edges through vertex 0 beside a disjoint edge.  It is not
     intersecting, and from lists of two colours the star is a Hall

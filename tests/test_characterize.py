@@ -17,6 +17,7 @@ from hyperchrom import (
     projective_plane,
     t_fold,
 )
+from hyperchrom import characterize
 from hyperchrom.characterize import _classify_on_support
 from hyperchrom.oracle import enumerate_hypergraphs
 from tests._naive import naive_classify_extremal, naive_classify_support
@@ -251,3 +252,38 @@ class TestSupportClassification:
         h = Hypergraph(8, h.edges)
         assert _classify_on_support(h, 1, wider) is None
         assert naive_classify_support(h, 1, wider) is None
+
+    def test_plane_counts_without_a_plane(self):
+        # 3-uniform, 3-regular, 7 edges on 7 points: the plane branch's counts
+        # for k = 2, but {0, 1} lies on three edges and {0,1,2}, {3,5,6} miss
+        h = Hypergraph(
+            7, [(0, 1, 2), (0, 1, 3), (0, 1, 4), (2, 3, 4), (2, 5, 6), (3, 5, 6), (4, 5, 6)]
+        )
+        for t in (1, 2):
+            folded = t_fold(h, t)
+            assert _classify_on_support(folded, t, 0b1111111) is None
+            assert naive_classify_support(folded, t, 0b1111111) is None
+
+    def test_one_support_test_and_one_predicates_read(self, monkeypatch, fano):
+        calls = {"support": 0, "predicates": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            characterize, "_classify_on_support", counted("support", _classify_on_support)
+        )
+        monkeypatch.setattr(
+            characterize, "predicates", counted("predicates", characterize.predicates)
+        )
+        for h, t, kind in (
+            (t_fold(fano, 2), 2, TFoldProjectivePlane(2, 2)),
+            (t_fold(near_pencil(6), 3), 3, TFoldNearPencil(3)),
+        ):
+            calls.update(support=0, predicates=0)
+            assert classify_extremal(h, t).kind == kind
+            assert calls == {"support": 1, "predicates": 1}

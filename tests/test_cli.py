@@ -406,12 +406,21 @@ class TestExact:
         assert rep["outcome"] == "yes"
         assert rep["colours_used"] == 7
 
-    def test_budget_refusal(self, tmp_path, capsys, fano):
-        path = _write(tmp_path, "fano.hg", fano)
+    def test_budget_refusal(self, tmp_path, capsys, c5):
+        path = _write(tmp_path, "c5.hg", c5)
         assert main(["exact", "--in", path, "--budget-edges", "3"]) == 1
         rep = _report(capsys)
         assert rep["outcome"] == "budget"
-        assert rep["certificates"]["type"] == "BudgetExceeded"
+        cert = rep["certificates"]
+        assert cert["type"] == "BudgetExceeded"
+        assert (cert["kind"], cert["lower"], cert["upper"]) == ("edges", 2, 3)
+
+    def test_met_bounds_answer_past_the_budget(self, tmp_path, capsys, fano):
+        path = _write(tmp_path, "fano.hg", fano)
+        assert main(["exact", "--in", path, "--budget-edges", "3"]) == 0
+        rep = _report(capsys)
+        assert rep["outcome"] == "ok"
+        assert rep["certificates"]["chromatic_index"] == 7
 
     def test_time_refusal_reports_bounds(self, tmp_path, capsys, monkeypatch, fano):
         from hyperchrom import _kernel_py
@@ -612,16 +621,19 @@ class TestRepeatedCalls:
             out.append((code, report, got.err))
         return out
 
-    def test_shared_parser_reports_match_fresh_parsers(self, tmp_path, capsys, monkeypatch, fano):
+    def test_shared_parser_reports_match_fresh_parsers(
+        self, tmp_path, capsys, monkeypatch, fano, c5
+    ):
         plane = _write(tmp_path, "fano2.hg", t_fold(fano, 2))
         pencil = _write(tmp_path, "pencil.hg", near_pencil(6))
+        cycle = _write(tmp_path, "c5.hg", c5)
         argvs = [
             ["classify", "--in", plane, "--t", "2"],
             ["color", "--in", plane, "--t", "2", "--lists", "uniform:14"],
             ["color", "--in", pencil, "--t", "1"],  # no --lists: usage error
             ["color", "--in", pencil, "--t", "1", "--lists", "uniform:6", "--mode", "extremal"],
             ["gen", "--family", "pencil", "--n", "5"],
-            ["exact", "--in", pencil, "--budget-edges", "3"],
+            ["exact", "--in", cycle, "--budget-edges", "3"],
             ["order", "--in", plane, "--t", "2", "--partition", "stability"],
             ["classify", "--in", pencil],
             ["exact", "--in", plane, "--lists", "uniform:13", "--time-cap-ms", "0"],

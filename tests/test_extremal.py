@@ -390,6 +390,36 @@ class TestColourExtremal:
         assert isinstance(out, ColouringFailure)
         assert report.attempts[-1] == "rung 5 skipped: e(H)=6 over budget 5"
 
+    def test_short_lists_skip_the_matching(self, monkeypatch, k4):
+        # two colours are fewer than half of K4's six edges, so no matching
+        # can bring e(H) - |matching| down to them
+        def no_matching(*args, **kwargs):
+            raise AssertionError("the complement matching ran")
+
+        monkeypatch.setattr(extremal, "maximal_complement_matching", no_matching)
+        out, report = colour_extremal(k4, 1, uniform_lists(k4, 2), exact_budget=5)
+        attempts = (
+            "rung 4 lists smaller than e(H) - |matching|",
+            "rung 5 skipped: e(H)=6 over budget 5",
+        )
+        assert out == ColouringFailure("colour_extremal", detail="; ".join(attempts))
+        assert report.attempts == attempts
+        assert report.rung is None and report.matching_size is None
+
+    def test_matching_guard_never_skips_a_usable_rung_4(self):
+        # on H that is not intersecting the ladder reaches rung 4, which
+        # colours exactly when k >= e(H) - (largest complement matching)
+        for h, t in make_corpus(30, base_seed=4100, n_range=(4, 8), t_range=(1, 2)):
+            if h.m > 14 or naive_predicates(h)[1]:
+                continue
+            pairs = naive_max_complement_matching_size(h)
+            for k in range(1, h.m + 1):
+                _out, report = colour_extremal(h, t, uniform_lists(h, k), exact_budget=0)
+                if report.rung is not None and report.rung[0] in "12":
+                    continue
+                assert (report.rung == "4: maximum complement matching") == (k >= h.m - pairs)
+                assert (report.matching_size is None) == (2 * k < h.m)
+
     def test_rung_5_no_carries_the_oracle_detail(self, star_beside_edge):
         # not intersecting, so rung 1's violator does not end the ladder;
         # rung 4's lists are too short, and the oracle's star check says no

@@ -19,6 +19,7 @@ from hyperchrom import (
     kernel_name,
     maximal_complement_matching,
     near_pencil,
+    projective_plane,
     random_bounded_codegree,
     t_fold,
     validate_colouring,
@@ -61,11 +62,22 @@ class TestExactChromaticIndex:
     def test_two_fold_fano(self, fano):
         assert exact_chromatic_index(t_fold(fano, 2)) == 14
 
-    def test_edge_budget_refusal_is_typed_and_falsy(self, fano):
-        out = exact_chromatic_index(fano, OracleBudget(max_edges=3))
+    def test_edge_budget_refusal_is_typed_and_falsy(self, c5):
+        out = exact_chromatic_index(c5, OracleBudget(max_edges=3))
         assert isinstance(out, BudgetExceeded)
         assert out.kind == "edges"
+        assert out.detail == "e(H)=5 exceeds 3"
         assert not out
+
+    def test_met_bounds_answer_past_the_edge_budget(self, monkeypatch, fano):
+        # pairwise-meeting lines: the clique meets the greedy colouring
+        def no_search(*args, **kwargs):
+            raise AssertionError("the kernel searched")
+
+        monkeypatch.setattr(_kernel_py, "solve_chromatic", no_search)
+        assert exact_chromatic_index(fano, OracleBudget(max_edges=3)) == 7
+        assert exact_chromatic_index(projective_plane(7)) == 57
+        assert exact_chromatic_index(t_fold(near_pencil(6), 2), OracleBudget(max_edges=1)) == 12
 
     def test_delta_tight_instances_answered_without_search(self):
         # Delta(H) equals the greedy colour count, so no search is needed
@@ -89,9 +101,21 @@ class TestExactChromaticIndex:
         assert out.lower == max(naive_degree(fano, v) for v in range(fano.n))
         assert out.upper == 9
 
-    def test_edge_refusal_has_no_bounds(self, fano):
-        out = exact_chromatic_index(fano, OracleBudget(max_edges=3))
-        assert (out.lower, out.upper) == (None, None)
+    def test_edge_refusal_carries_both_bounds(self, c5):
+        out = exact_chromatic_index(c5, OracleBudget(max_edges=3))
+        assert (out.lower, out.upper) == (2, 3)
+
+    def test_edge_refusals_bracket_the_naive_index(self):
+        for h, _t in make_corpus(12, base_seed=4000, n_range=(4, 8), t_range=(1, 2)):
+            if h.m > 9:
+                continue
+            chi = naive_chromatic_index(h)
+            out = exact_chromatic_index(h, OracleBudget(max_edges=1))
+            if isinstance(out, BudgetExceeded):
+                assert out.kind == "edges"
+                assert out.lower <= chi <= out.upper and out.lower < out.upper
+            else:
+                assert out == chi
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):
@@ -198,6 +222,12 @@ class TestExactListColourable:
             fano, {e: range(7) for e in range(7)}, OracleBudget(max_edges=2)
         )
         assert res.status == "budget"
+
+    def test_star_settles_before_the_edge_budget(self):
+        h = t_fold(near_pencil(6), 2)
+        res = exact_list_colourable(h, {e: range(9) for e in range(h.m)}, OracleBudget(max_edges=3))
+        assert res.status == "no"
+        assert res.detail == "Hall violator: 10 edges, 9 colours"
 
     def test_matches_naive_on_corpus(self):
         # colours below zero and from 64 up map to bit positions and back

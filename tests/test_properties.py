@@ -32,8 +32,10 @@ from hyperchrom.ordering import greedy_extend
 
 from tests._naive import naive_greedy_extend, naive_reorder
 
-ALPHA_GRID = (Fraction(0), Fraction(1, 4), Fraction(1, 2))
-TAU_GRID = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
+# the counting bounds' grids in quarters: alpha = A/4, tau = T/4
+ALPHA_QUARTERS = (0, 1, 2)
+TAU_QUARTERS = (1, 2, 3)
+TAU_GRID = tuple(Fraction(q, 4) for q in TAU_QUARTERS)
 SPARSE_COLOURS = (-10**6, -7, 0, 7, 10**3, 10**6, 2**70)
 
 
@@ -62,45 +64,61 @@ def check_vertex_incidence_bound(h, t):
         incident = [s for e, s in zip(h.edges, sizes) if v in e]
         for r in range(2, top + 1):
             count = sum(1 for s in incident if s >= r)
-            assert count <= Fraction(t * (h.n - 1), r - 1), (v, r, count)
+            assert count * (r - 1) <= t * (h.n - 1), (v, r, count)
 
 
 def check_overlap_count_bound(h, t):
-    """Per edge, at most 2t/alpha^2 edges overlap it in >= alpha*|V(e)| vertices."""
+    """Per edge, at most 2t/alpha^2 edges overlap it in >= alpha*|V(e)| vertices.
+
+    In integers, alpha = p/q: the threshold is q*|V(e) & V(f)| >= p*|V(e)|,
+    skipped below 2, and the cap count * p^2 <= 2t * q^2."""
     vsets = [set(e) for e in h.edges]
     for e, ve in enumerate(vsets):
-        for alpha in (Fraction(1, 4), Fraction(1, 2), Fraction(2, 3), Fraction(1)):
-            threshold = alpha * len(ve)
-            if threshold < 2:
+        for p, q in ((1, 4), (1, 2), (2, 3), (1, 1)):
+            if p * len(ve) < 2 * q:
                 continue
-            count = sum(1 for vf in vsets if len(ve & vf) >= threshold)
-            assert count <= Fraction(2 * t) / alpha**2, (e, alpha, count)
+            count = sum(1 for vf in vsets if q * len(ve & vf) >= p * len(ve))
+            assert count * p * p <= 2 * t * q * q, (e, f"{p}/{q}", count)
 
 
 def check_two_scale_neighbour_bound(h, t):
-    """Weighted counts of larger/comparable neighbours stay below ~tn."""
+    """Weighted counts of larger/comparable neighbours stay below ~tn.
+
+    With a1 = A1/4, a2 = A2/4, tau = T/4 and gap = 4(r - 1 - a2) > 0, each
+    inequality is its rational form times its positive denominators:
+    - larger: |f| >= (1 + a1) r; comparable: r/(1 + a2) <= |f| < (1 + a1) r;
+    - (1 + a1) m1 + m2/(1 + a2) <= tn (1 + (1 + a2)/(r - 1 - a2)), times
+      4 (4 + A2) gap;
+    - when m1 + m2 >= t (1 - tau) n:
+      m1 <= (tau + (1 + a2 + a2 r)/(r - 1 - a2)) tn / a1, times A1 gap.
+    """
     if h.m == 0 or h.n < 2:
         return
     nb = neighbourhoods(h).edge
-    sizes = [Fraction(len(e)) for e in h.edges]
-    for a1 in ALPHA_GRID:
-        for a2 in ALPHA_GRID:
-            if min(sizes) < 2 * (1 + a2) ** 2:
+    sizes = [len(e) for e in h.edges]
+    tn = t * h.n
+    for A1 in ALPHA_QUARTERS:
+        for A2 in ALPHA_QUARTERS:
+            if 8 * min(sizes) < (4 + A2) ** 2:  # some edge below 2 (1 + a2)^2
                 continue
             for e in range(h.m):
                 r = sizes[e]
-                larger, comparable = (1 + a1) * r, r / (1 + a2)
-                m1 = sum(1 for f in nb[e] if sizes[f] >= larger)
-                m2 = sum(1 for f in nb[e] if comparable <= sizes[f] < larger)
-                lhs = (1 + a1) * m1 + Fraction(m2) / (1 + a2)
-                rhs = t * h.n * (1 + (1 + a2) / (r - 1 - a2))
-                assert lhs <= rhs, (e, a1, a2, lhs, rhs)
-                if a1 == 0:
+                m1 = sum(1 for f in nb[e] if 4 * sizes[f] >= (4 + A1) * r)
+                m2 = sum(
+                    1
+                    for f in nb[e]
+                    if 4 * r <= (4 + A2) * sizes[f] and 4 * sizes[f] < (4 + A1) * r
+                )
+                gap = 4 * r - 4 - A2
+                lhs = (4 + A1) * m1 * (4 + A2) * gap + 16 * m2 * gap
+                rhs = 4 * (4 + A2) * tn * (gap + 4 + A2)
+                assert lhs <= rhs, (e, A1, A2, lhs, rhs)
+                if A1 == 0:
                     continue
-                for tau in TAU_GRID:
-                    if m1 + m2 >= t * (1 - tau) * h.n:
-                        cap = (tau + (1 + a2 + a2 * r) / (r - 1 - a2)) * t * h.n / a1
-                        assert m1 <= cap, (e, a1, a2, tau, m1, cap)
+                for T in TAU_QUARTERS:
+                    if 4 * (m1 + m2) >= (4 - T) * tn:
+                        cap = (T * gap + 4 * (4 + A2 + A2 * r)) * tn
+                        assert m1 * A1 * gap <= cap, (e, A1, A2, T, m1, cap)
 
 
 class TestCountingBoundsOnCorpus:
