@@ -106,16 +106,20 @@ class TestExactChromaticIndex:
         assert (out.lower, out.upper) == (2, 3)
 
     def test_edge_refusals_bracket_the_naive_index(self):
-        for h, _t in make_corpus(12, base_seed=4000, n_range=(4, 8), t_range=(1, 2)):
-            if h.m > 9:
-                continue
+        corpus = make_corpus(40, base_seed=4000, n_range=(4, 10), t_range=(1, 2), size_hi=3)
+        cases = [h for h, _t in corpus if h.m <= 10]
+        cases += [Hypergraph(n, [(i, (i + 1) % n) for i in range(n)]) for n in (5, 7, 9)]
+        refused = 0
+        for h in cases:
             chi = naive_chromatic_index(h)
             out = exact_chromatic_index(h, OracleBudget(max_edges=1))
             if isinstance(out, BudgetExceeded):
+                refused += 1
                 assert out.kind == "edges"
                 assert out.lower <= chi <= out.upper and out.lower < out.upper
             else:
                 assert out == chi
+        assert 0 < refused < len(cases)
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):
@@ -225,7 +229,8 @@ class TestExactListColourable:
 
     def test_star_settles_before_the_edge_budget(self):
         h = t_fold(near_pencil(6), 2)
-        res = exact_list_colourable(h, {e: range(9) for e in range(h.m)}, OracleBudget(max_edges=3))
+        lists = {e: range(9) for e in range(h.m)}
+        res = exact_list_colourable(h, lists, OracleBudget(max_edges=3))
         assert res.status == "no"
         assert res.detail == "Hall violator: 10 edges, 9 colours"
 
